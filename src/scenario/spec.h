@@ -12,6 +12,12 @@
 // back by WriteScenarioSpec, and executed by the ScenarioEngine
 // (src/scenario/engine.h) against a Testbed.
 //
+// The JSON keys of each struct below (and of the config structs it embeds)
+// are declared once, in that struct's field list in spec.cc, which drives
+// parsing, writing, unknown-key rejection and the single-field range checks.
+// Durations are seconds that must fit in int64 microseconds; an integer
+// member takes only an integral number within its type.
+//
 // The legacy Resilience/Validation/Signaling/Chaos entry points
 // (src/scenario/scenarios.h) compile their option structs into specs via
 // Compile*Spec, so a spec run and the corresponding legacy run are the same
@@ -51,9 +57,6 @@ enum class QueryPattern {
   kFf,
   kNxThenWc,
 };
-
-const char* QueryPatternName(QueryPattern pattern);
-bool ParseQueryPatternName(const std::string& text, QueryPattern* out);
 
 // --- topology ---------------------------------------------------------------
 

@@ -35,30 +35,6 @@ uint64_t HashName(const Name& name) {
 
 }  // namespace
 
-const char* SteeringPolicyName(SteeringPolicy policy) {
-  switch (policy) {
-    case SteeringPolicy::kConsistentHash:
-      return "consistent_hash";
-    case SteeringPolicy::kLeastLoaded:
-      return "least_loaded";
-    case SteeringPolicy::kRoundRobin:
-      return "round_robin";
-  }
-  return "consistent_hash";
-}
-
-bool ParseSteeringPolicyName(const std::string& text, SteeringPolicy* out) {
-  for (SteeringPolicy policy :
-       {SteeringPolicy::kConsistentHash, SteeringPolicy::kLeastLoaded,
-        SteeringPolicy::kRoundRobin}) {
-    if (text == SteeringPolicyName(policy)) {
-      *out = policy;
-      return true;
-    }
-  }
-  return false;
-}
-
 FleetFrontend::FleetFrontend(Transport& transport, FrontendConfig config,
                              uint64_t seed)
     : transport_(transport),

@@ -48,9 +48,6 @@ enum class SteeringPolicy {
   kRoundRobin,
 };
 
-const char* SteeringPolicyName(SteeringPolicy policy);
-bool ParseSteeringPolicyName(const std::string& text, SteeringPolicy* out);
-
 struct FrontendConfig {
   SteeringPolicy steering = SteeringPolicy::kConsistentHash;
   Duration processing_delay = Microseconds(10);

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -91,6 +95,59 @@ TEST(SpecParseTest, BadPatternNameReportsPath) {
   EXPECT_NE(error.find("pattern"), std::string::npos) << error;
 }
 
+std::string ParseError(const std::string& text) {
+  ScenarioSpec spec;
+  std::string error;
+  EXPECT_FALSE(ParseScenarioSpec(text, &spec, &error)) << text;
+  return error;
+}
+
+// Integer members take only integral numbers that fit their type, and
+// durations must fit in int64 microseconds: nothing is converted silently.
+TEST(SpecParseTest, OutOfRangeIntegersAndDurationsAreRejected) {
+  const auto resolver = [](const std::string& field) {
+    return R"({"nodes": [{"id": "a", "kind": "auth"},
+                         {"id": "r", "kind": "resolver", "resolver": {)" +
+           field + "}}]}";
+  };
+  EXPECT_EQ(ParseError(resolver(R"("upstream_retries": 1e20)")),
+            "nodes[1].resolver.upstream_retries: expected an integer in "
+            "[-2147483648, 2147483647]");
+  EXPECT_EQ(ParseError(resolver(R"("stale_answer_ttl": -1)")),
+            "nodes[1].resolver.stale_answer_ttl: expected an integer in "
+            "[0, 4294967295]");
+  EXPECT_EQ(ParseError(resolver(R"("max_fetches_per_request": 2.7)")),
+            "nodes[1].resolver.max_fetches_per_request: expected an integer "
+            "in [-2147483648, 2147483647]");
+  EXPECT_EQ(ParseError(R"({"clients": [{"seed": 18446744073709551616}]})"),
+            "clients[0].seed: expected an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(ParseError(R"({"nodes": [{"id": "r", "kind": "resolver",
+                                      "dcc": {"countdown_relay_decrement": 65536}}]})"),
+            "nodes[0].dcc.countdown_relay_decrement: expected an integer in "
+            "[0, 65535]");
+  EXPECT_EQ(ParseError(R"({"run": {"horizon": 1e13}})"),
+            "run.horizon: expected a duration in seconds that fits in int64 "
+            "microseconds");
+  EXPECT_EQ(ParseError(R"({"network": {"jitter": -1e400}})"),
+            "network.jitter: expected a duration in seconds that fits in "
+            "int64 microseconds");
+
+  // The edges of each type still parse exactly.
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseScenarioSpec(resolver(R"("upstream_retries": -2147483648,
+                                            "stale_answer_ttl": 4294967295)"),
+                                &spec, &error))
+      << error;
+  EXPECT_EQ(spec.nodes[1].resolver.upstream_retries, -2147483648LL);
+  EXPECT_EQ(spec.nodes[1].resolver.stale_answer_ttl, 4294967295u);
+  ASSERT_TRUE(ParseScenarioSpec(R"({"run": {"horizon": 1e12, "seed": 9007199254740992}})",
+                                &spec, &error))
+      << error;
+  EXPECT_EQ(spec.horizon, Seconds(1000000000000LL));
+  EXPECT_EQ(spec.seed, 9007199254740992ULL);
+}
+
 TEST(SpecValidateTest, AcceptsBaseSpecAndMaterializes) {
   ScenarioSpec spec = BaseSpec();
   std::string error;
@@ -160,6 +217,45 @@ TEST(SpecValidateTest, KindMismatchesAreRejected) {
   }
 }
 
+// The field lists' bounds are ValidateScenarioSpec's single-field range
+// checks, reported at the field's JSON path.
+TEST(SpecValidateTest, RangeChecksNameTheField) {
+  struct Case {
+    void (*perturb)(ScenarioSpec*);
+    const char* error;
+  };
+  const Case cases[] = {
+      {[](ScenarioSpec* s) { s->horizon = 0; }, "run.horizon: must be > 0"},
+      {[](ScenarioSpec* s) { s->network.jitter = -1; }, "network.jitter: must be >= 0"},
+      {[](ScenarioSpec* s) { s->network.loss_probability = -0.5; },
+       "network.loss_probability: must be in [0, 1]"},
+      {[](ScenarioSpec* s) { s->network.pair_delays.push_back({"ans", "c", 0}); },
+       "network.pair_delays[0].one_way: must be > 0"},
+      {[](ScenarioSpec* s) { s->clients[0].qps = 0; }, "clients[0].qps: must be > 0"},
+      {[](ScenarioSpec* s) { s->clients[0].ramp_to_qps = -1; },
+       "clients[0].ramp_to_qps: must be >= 0"},
+      {[](ScenarioSpec* s) {
+         s->nodes[1].dcc_enabled = true;
+         s->nodes[1].channels.push_back({"ans", 0});
+       },
+       "nodes[1].channels[0].qps: must be > 0"},
+      {[](ScenarioSpec* s) {
+         NodeSpec frontend;
+         frontend.id = "fe";
+         frontend.kind = NodeKind::kFrontend;
+         frontend.replicate = 1025;
+         frontend.has_member_template = true;
+         s->nodes.push_back(frontend);
+       },
+       "nodes[2].replicate: must be in [0, 1024]"},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec spec = BaseSpec();
+    c.perturb(&spec);
+    EXPECT_EQ(ValidationError(spec), c.error);
+  }
+}
+
 TEST(SpecRoundTripTest, WriteParseReproducesExactly) {
   ScenarioSpec spec = CompileResilienceSpec(ResilienceOptions{});
   std::string error;
@@ -170,19 +266,72 @@ TEST(SpecRoundTripTest, WriteParseReproducesExactly) {
   EXPECT_EQ(text, WriteScenarioSpec(reparsed));
 }
 
+// An attacker zone's derived instance count (max FF QPS x horizon + 8) must
+// fit its int member rather than overflow the conversion.
+TEST(SpecValidateTest, DerivedFfInstanceCountMustFitAnInt) {
+  ScenarioSpec spec = BaseSpec();
+  ZoneSpec attacker;
+  attacker.id = "atk";
+  attacker.kind = ZoneKind::kAttacker;
+  attacker.apex = "atk-domain";
+  attacker.target_zone = "target";
+  attacker.attacker.instances = 0;
+  spec.zones.push_back(attacker);
+  ClientSpec ff = spec.clients[0];
+  ff.label = "ff";
+  ff.pattern = QueryPattern::kFf;
+  ff.zone = "atk";
+  ff.qps = 1e12;
+  spec.clients.push_back(ff);
+  EXPECT_EQ(ValidationError(spec),
+            "zones[1].instances: FF QPS x horizon + 8 does not fit in an int; set it");
+  spec.clients[1].qps = 50;
+  std::string error;
+  ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
+  EXPECT_EQ(spec.zones[1].attacker.instances, 50 * 5 + 8);
+}
+
+// Every committed spec validates, and its validated form is a write ->
+// parse -> write fixed point. The files already stored materialized must
+// equal that form byte for byte (what `dcc_sim validate` prints).
 TEST(SpecRoundTripTest, ExampleSpecsParseAndValidate) {
-  const std::string dir = std::string(DCC_SOURCE_DIR) + "/examples/scenarios/";
-  for (const char* name : {"resilience.json", "validation.json",
-                           "signaling.json", "chaos.json",
-                           "chain_ff_loss.json"}) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(DCC_SOURCE_DIR) / "examples" / "scenarios";
+  std::vector<fs::path> files;
+  for (const fs::path& dir : {root, root / "found"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".json") {
+        files.push_back(entry.path());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files.size(), 8u);
+  const std::vector<std::string> materialized = {
+      "resilience", "validation", "signaling", "chaos", "found-benign-worst-001"};
+  size_t compared = 0;
+  for (const fs::path& file : files) {
+    const std::string name = file.stem().string();
     ScenarioSpec spec;
     std::string error;
-    ASSERT_TRUE(LoadScenarioSpecFile(dir + name, &spec, &error))
-        << name << ": " << error;
+    ASSERT_TRUE(LoadScenarioSpecFile(file.string(), &spec, &error)) << error;
     ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << name << ": " << error;
     EXPECT_FALSE(spec.nodes.empty()) << name;
     EXPECT_FALSE(spec.clients.empty()) << name;
+    const std::string written = WriteScenarioSpec(spec);
+    ScenarioSpec reparsed;
+    ASSERT_TRUE(ParseScenarioSpec(written, &reparsed, &error)) << name << ": " << error;
+    EXPECT_EQ(WriteScenarioSpec(reparsed), written) << name;
+    if (std::find(materialized.begin(), materialized.end(), name) !=
+        materialized.end()) {
+      std::ifstream in(file);
+      std::stringstream on_disk;
+      on_disk << in.rdbuf();
+      EXPECT_EQ(on_disk.str(), written) << name;
+      ++compared;
+    }
   }
+  EXPECT_EQ(compared, materialized.size());
 }
 
 // Runs `spec` via the engine, returning the outcome plus the exact number of
