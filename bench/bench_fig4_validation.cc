@@ -9,19 +9,27 @@
 //       around the RR channel capacity;
 //   (d) a large resolver system load-balancing over 4/16/25/60 egresses, FF.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench/benches.h"
+#include "src/measure/fairness.h"
+#include "src/scenario/engine.h"
 #include "src/scenario/scenarios.h"
 
 namespace dcc {
 namespace {
 
+using scenario::ValidationSetup;
+
 void Sweep(const char* title, ValidationSetup setup,
-           const std::vector<double>& attacker_rates, double channel_qps,
-           int seeds, int egress_count = 4) {
-  std::printf("\n--- %s (channel %.0f QPS", title, channel_qps);
+           const std::vector<double>& attacker_rates, int seeds,
+           int egress_count = 4) {
+  // The builder's RA/RR channel capacity (paper: 100).
+  std::printf("\n--- %s (channel %.0f QPS", title, 100.0);
   if (setup == ValidationSetup::kLargeResolver) {
     std::printf(", %d egresses", egress_count);
   }
@@ -31,23 +39,28 @@ void Sweep(const char* title, ValidationSetup setup,
   for (double rate : attacker_rates) {
     // Average over several seeds: the punitive-RRL dynamics make single runs
     // noisy, exactly as the paper's cloud measurements were.
-    ValidationResult mean;
-    const int kSeeds = seeds;
-    for (uint64_t seed = 1; seed <= static_cast<uint64_t>(kSeeds); ++seed) {
-      ValidationOptions options;
-      options.setup = setup;
-      options.attacker_qps = rate;
-      options.channel_qps = channel_qps;
-      options.egress_count = egress_count;
-      options.seed = seed;
-      const ValidationResult result = RunValidationScenario(options);
-      mean.benign_success_ratio += result.benign_success_ratio / kSeeds;
-      mean.attacker_success_ratio += result.attacker_success_ratio / kSeeds;
-      mean.ans_peak_qps += result.ans_peak_qps / kSeeds;
+    double benign = 0;
+    double attacker = 0;
+    double ans_peak = 0;
+    for (uint64_t seed = 1; seed <= static_cast<uint64_t>(seeds); ++seed) {
+      scenario::ScenarioOutcome outcome;
+      std::string error;
+      if (!scenario::RunScenarioSpec(
+              scenario::MakeValidationSpec(setup, rate, egress_count, seed), {},
+              &outcome, &error)) {
+        std::fprintf(stderr, "fig4 spec invalid: %s\n", error.c_str());
+        std::abort();
+      }
+      double peak = 0;
+      for (const scenario::AnsOutcome& ans : outcome.ans) {
+        peak = std::max(peak, ans.peak_qps);
+      }
+      benign += measure::PooledBenignSuccess(outcome.clients) / seeds;
+      attacker += outcome.clients[0].success_ratio / seeds;
+      ans_peak += peak / seeds;
     }
-    std::printf("%-14.0f %-16.2f %-16.2f %-12.0f\n", rate,
-                mean.benign_success_ratio, mean.attacker_success_ratio,
-                mean.ans_peak_qps);
+    std::printf("%-14.0f %-16.2f %-16.2f %-12.0f\n", rate, benign, attacker,
+                ans_peak);
     std::fflush(stdout);
   }
 }
@@ -65,21 +78,20 @@ int RunFig4Validation(const BenchOptions& options) {
       options.quick ? std::vector<double>{2, 5, 8}
                     : std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8};
   Sweep("(a) redundant authoritative servers", ValidationSetup::kRedundantAuth,
-        ff_rates, 100, seeds);
+        ff_rates, seeds);
   Sweep("(b) redundant resolvers", ValidationSetup::kRedundantResolver, ff_rates,
-        100, seeds);
+        seeds);
   const std::vector<double> wc_rates =
       options.quick ? std::vector<double>{80, 110}
                     : std::vector<double>{60, 70, 80, 90, 100, 110, 120, 130};
-  Sweep("(c) forwarding resolver", ValidationSetup::kForwarder, wc_rates, 100,
-        seeds);
+  Sweep("(c) forwarding resolver", ValidationSetup::kForwarder, wc_rates, seeds);
   const std::vector<double> lr_rates =
       options.quick ? std::vector<double>{10, 30, 50}
                     : std::vector<double>{5, 10, 15, 20, 25, 30, 35, 40, 45, 50};
   for (int egresses : options.quick ? std::vector<int>{4}
                                     : std::vector<int>{4, 16, 25}) {
     Sweep("(d) large resolver system", ValidationSetup::kLargeResolver, lr_rates,
-          100, seeds, egresses);
+          seeds, egresses);
   }
   return 0;
 }

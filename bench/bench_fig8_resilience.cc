@@ -8,19 +8,23 @@
 //   (c) attacker exploiting FF amplification at 50 QPS.
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "bench/benches.h"
-#include "src/measure/fairness.h"
-#include "src/scenario/scenarios.h"
 #include "src/common/ids.h"
+#include "src/measure/fairness.h"
+#include "src/scenario/engine.h"
+#include "src/scenario/scenarios.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/telemetry.h"
 
 namespace dcc {
 namespace {
 
-void PrintSeries(const ScenarioResult& result, bool ff_attacker) {
+using scenario::QueryPattern;
+
+void PrintSeries(const scenario::ScenarioOutcome& result, bool ff_attacker) {
   std::printf("%-10s", "t(s)");
   for (const auto& client : result.clients) {
     std::printf("%10s", client.label.c_str());
@@ -30,15 +34,15 @@ void PrintSeries(const ScenarioResult& result, bool ff_attacker) {
   // load it actually lands on the nameserver (shared landed-series math in
   // measure/fairness).
   const std::vector<measure::ClientFairnessSample> samples =
-      measure::FairnessSamples(result);
+      measure::FairnessSamples(result.clients);
   const std::vector<double> landed =
-      measure::AttackerLandedSeries(samples, result.ans_qps);
+      measure::AttackerLandedSeries(samples, result.ans[0].qps);
   const size_t seconds = result.clients.front().effective_qps.size();
   for (size_t t = 0; t < seconds; t += 2) {
     std::printf("%-10zu", t);
     for (const auto& client : result.clients) {
       double value = client.effective_qps[t];
-      if (ff_attacker && client.label == "Attacker" && t < landed.size()) {
+      if (ff_attacker && client.is_attacker && t < landed.size()) {
         value = landed[t];
       }
       std::printf("%10.0f", value);
@@ -54,12 +58,16 @@ void RunScenario(const char* title, QueryPattern pattern, double attacker_qps) {
     // Accounting flows through the telemetry registry (one vocabulary with
     // the dcc_sim --metrics-out dump) rather than ad-hoc member counters.
     telemetry::TelemetrySink sink;
-    ResilienceOptions options;
-    options.telemetry = &sink;
-    options.dcc_enabled = dcc_enabled;
-    options.channel_qps = 1000;
-    options.clients = Table2Clients(pattern, attacker_qps);
-    ScenarioResult result = RunResilienceScenario(options);
+    scenario::EngineHooks hooks;
+    hooks.telemetry = &sink;
+    scenario::ScenarioOutcome result;
+    std::string error;
+    if (!scenario::RunScenarioSpec(
+            scenario::MakeResilienceSpec(pattern, attacker_qps, dcc_enabled),
+            hooks, &result, &error)) {
+      std::fprintf(stderr, "fig8 spec invalid: %s\n", error.c_str());
+      std::abort();
+    }
     std::printf("\n--- %s ---\n", dcc_enabled ? "DCC-enabled resolver" : "vanilla resolver");
     PrintSeries(result, ff);
     const telemetry::MetricsSnapshot snap = sink.metrics.Snapshot();
@@ -79,7 +87,7 @@ void RunScenario(const char* title, QueryPattern pattern, double attacker_qps) {
     }
     std::printf("\n");
     const measure::BenignCollateral collateral =
-        measure::SummarizeBenignCollateral(measure::FairnessSamples(result));
+        measure::SummarizeBenignCollateral(measure::FairnessSamples(result.clients));
     std::printf(
         "collateral: worst benign %s=%.2f mean=%.2f jain=%.3f starved=%zus\n",
         collateral.worst_label.c_str(), collateral.worst_ratio,

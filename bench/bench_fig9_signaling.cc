@@ -9,16 +9,21 @@
 // culprit before that happens.
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "bench/benches.h"
 #include "src/measure/fairness.h"
+#include "src/scenario/engine.h"
 #include "src/scenario/scenarios.h"
 #include "src/telemetry/telemetry.h"
 
 namespace dcc {
 namespace {
 
-void PrintSeries(const ScenarioResult& result, bool ff_attacker) {
+using scenario::QueryPattern;
+
+void PrintSeries(const scenario::ScenarioOutcome& result, bool ff_attacker) {
   std::printf("%-10s", "t(s)");
   for (const auto& client : result.clients) {
     std::printf("%10s", client.label.c_str());
@@ -26,15 +31,15 @@ void PrintSeries(const ScenarioResult& result, bool ff_attacker) {
   std::printf("\n");
   // FF landed-load math shared with fig8 via measure/fairness.
   const std::vector<measure::ClientFairnessSample> samples =
-      measure::FairnessSamples(result);
+      measure::FairnessSamples(result.clients);
   const std::vector<double> landed =
-      measure::AttackerLandedSeries(samples, result.ans_qps);
+      measure::AttackerLandedSeries(samples, result.ans[0].qps);
   const size_t seconds = result.clients.front().effective_qps.size();
   for (size_t t = 0; t < seconds; t += 2) {
     std::printf("%-10zu", t);
     for (const auto& client : result.clients) {
       double value = client.effective_qps[t];
-      if (ff_attacker && client.label == "Attacker" && t < landed.size()) {
+      if (ff_attacker && client.is_attacker && t < landed.size()) {
         value = landed[t];
       }
       std::printf("%10.0f", value);
@@ -49,12 +54,16 @@ void RunPattern(const char* title, QueryPattern pattern, double attacker_qps) {
     // Accounting flows through the telemetry registry, aggregating both DCC
     // instances (forwarder + resolver) under the shared metric families.
     telemetry::TelemetrySink sink;
-    SignalingOptions options;
-    options.telemetry = &sink;
-    options.signaling_enabled = signaling;
-    options.attacker_pattern = pattern;
-    options.attacker_qps = attacker_qps;
-    const ScenarioResult result = RunSignalingScenario(options);
+    scenario::EngineHooks hooks;
+    hooks.telemetry = &sink;
+    scenario::ScenarioOutcome result;
+    std::string error;
+    if (!scenario::RunScenarioSpec(
+            scenario::MakeSignalingSpec(pattern, attacker_qps, signaling), hooks,
+            &result, &error)) {
+      std::fprintf(stderr, "fig9 spec invalid: %s\n", error.c_str());
+      std::abort();
+    }
     std::printf("\n--- signaling %s ---\n", signaling ? "ON" : "OFF");
     PrintSeries(result, pattern == QueryPattern::kFf);
     const telemetry::MetricsSnapshot snap = sink.metrics.Snapshot();
@@ -63,7 +72,7 @@ void RunPattern(const char* title, QueryPattern pattern, double attacker_qps) {
       std::printf("  %s=%.2f", client.label.c_str(), client.success_ratio);
     }
     const measure::BenignCollateral collateral =
-        measure::SummarizeBenignCollateral(measure::FairnessSamples(result));
+        measure::SummarizeBenignCollateral(measure::FairnessSamples(result.clients));
     std::printf("  worst-benign=%.2f(%s)", collateral.worst_ratio,
                 collateral.worst_label.c_str());
     std::printf(

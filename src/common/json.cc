@@ -64,6 +64,19 @@ const Value* Value::Find(const std::string& key) const {
   return it != object_.end() ? &it->second : nullptr;
 }
 
+Value* Value::Member(const std::string& key) {
+  if (is_null()) {
+    *this = MakeObject();
+  }
+  return is_object() ? &object_[key] : nullptr;
+}
+
+void Value::Remove(const std::string& key) { object_.erase(key); }
+
+Value* Value::Element(size_t i) {
+  return is_array() && i < array_.size() ? &array_[i] : nullptr;
+}
+
 double Value::Number(const std::string& key, double fallback) const {
   const Value* v = Find(key);
   return v != nullptr && v->is_number() ? v->number_ : fallback;

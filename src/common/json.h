@@ -65,6 +65,13 @@ class Value {
 
   // Object member lookup; nullptr when absent or not an object.
   const Value* Find(const std::string& key) const;
+  // In-place edit access: the member `key`, added as null when absent (a
+  // null value becomes an object first), and the array element `i`. nullptr
+  // when the value has another type or `i` is out of range.
+  Value* Member(const std::string& key);
+  Value* Element(size_t i);
+  // Erases the object member `key`, if any.
+  void Remove(const std::string& key);
   // Convenience accessors over Find.
   double Number(const std::string& key, double fallback = 0) const;
   std::string String(const std::string& key,

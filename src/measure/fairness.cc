@@ -52,20 +52,16 @@ std::vector<ClientFairnessSample> FairnessSamples(
   return samples;
 }
 
-std::vector<ClientFairnessSample> FairnessSamples(
-    const ScenarioResult& result) {
-  std::vector<ClientFairnessSample> samples;
-  samples.reserve(result.clients.size());
-  for (const ClientResult& client : result.clients) {
-    ClientFairnessSample sample;
-    sample.label = client.label;
-    sample.is_attacker = client.label == "Attacker";
-    sample.sent = client.sent;
-    sample.success_ratio = client.success_ratio;
-    sample.effective_qps = client.effective_qps;
-    samples.push_back(std::move(sample));
+double PooledBenignSuccess(const std::vector<scenario::ClientOutcome>& clients) {
+  uint64_t ok = 0;
+  uint64_t total = 0;
+  for (const scenario::ClientOutcome& client : clients) {
+    if (!client.is_attacker) {
+      ok += client.succeeded;
+      total += client.succeeded + client.failed;
+    }
   }
-  return samples;
+  return total > 0 ? static_cast<double>(ok) / static_cast<double>(total) : 0;
 }
 
 BenignCollateral SummarizeBenignCollateral(

@@ -1,10 +1,11 @@
 #include "src/scenario/scenarios.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace dcc {
+namespace scenario {
 namespace {
 
 constexpr char kTargetApex[] = "target-domain";
@@ -12,30 +13,25 @@ constexpr char kAttackerApex[] = "attacker-com";
 constexpr char kTargetZone[] = "target";
 constexpr char kAttackerZone[] = "attacker";
 
-bool UsesFf(const std::vector<ClientSpec>& clients) {
-  for (const auto& spec : clients) {
-    if (spec.pattern == QueryPattern::kFf) {
-      return true;
-    }
-  }
-  return false;
-}
+// Channel capacities: Table 2 / Fig. 9 resolver -> nameserver, and the
+// Fig. 4 RA/RR channels.
+constexpr double kResilienceChannelQps = 1000;
+constexpr double kValidationChannelQps = 100;
 
-scenario::ZoneSpec TargetZone(uint32_t ttl = 600) {
-  scenario::ZoneSpec zone;
+ZoneSpec TargetZone() {
+  ZoneSpec zone;
   zone.id = kTargetZone;
-  zone.kind = scenario::ZoneKind::kTarget;
+  zone.kind = ZoneKind::kTarget;
   zone.apex = kTargetApex;
-  zone.target.ttl = ttl;
   return zone;
 }
 
 // Short-TTL attacker zone; instances <= 0 is materialized by validation to
 // the "every FF request misses the cache" sizing.
-scenario::ZoneSpec AttackerZone() {
-  scenario::ZoneSpec zone;
+ZoneSpec AttackerZone() {
+  ZoneSpec zone;
   zone.id = kAttackerZone;
-  zone.kind = scenario::ZoneKind::kAttacker;
+  zone.kind = ZoneKind::kAttacker;
   zone.apex = kAttackerApex;
   zone.target_zone = kTargetZone;
   zone.attacker.ttl = 1;
@@ -55,92 +51,33 @@ ResponseRateLimitConfig ChannelRrl(double channel_qps) {
   return rrl;
 }
 
-scenario::NodeSpec AuthNode(const std::string& id, const std::string& zone,
-                            AuthoritativeConfig config = {}) {
-  scenario::NodeSpec node;
+NodeSpec AuthNode(const std::string& id, const std::string& zone,
+                  AuthoritativeConfig config = {}) {
+  NodeSpec node;
   node.id = id;
-  node.kind = scenario::NodeKind::kAuthoritative;
+  node.kind = NodeKind::kAuthoritative;
   node.auth = config;
   node.zones.push_back(zone);
   return node;
 }
 
-// Runs a compiled spec; compiled specs are valid by construction, so a
-// validation failure here is a bug in the compiler, not user input.
-scenario::ScenarioOutcome MustRun(const scenario::ScenarioSpec& spec,
-                                  telemetry::TelemetrySink* telemetry,
-                                  telemetry::TimeSeriesSampler* sampler) {
-  scenario::EngineHooks hooks;
-  hooks.telemetry = telemetry;
-  hooks.sampler = sampler;
-  scenario::ScenarioOutcome outcome;
-  std::string error;
-  if (!scenario::RunScenarioSpec(spec, hooks, &outcome, &error)) {
-    std::fprintf(stderr, "compiled scenario spec '%s' invalid: %s\n",
-                 spec.name.c_str(), error.c_str());
-    std::abort();
-  }
-  return outcome;
+ResolverConfig PaperResolver() {
+  ResolverConfig resolver;
+  resolver.upstream_timeout = Milliseconds(800);
+  resolver.upstream_retries = 1;
+  return resolver;
 }
 
-ClientResult ToClientResult(const scenario::ClientOutcome& outcome) {
-  ClientResult result;
-  result.label = outcome.label;
-  result.success_ratio = outcome.success_ratio;
-  result.sent = outcome.sent;
-  result.succeeded = outcome.succeeded;
-  result.effective_qps = outcome.effective_qps;
-  return result;
-}
-
-}  // namespace
-
-std::vector<ClientSpec> Table2Clients(QueryPattern attacker_pattern,
-                                      double attacker_qps) {
-  std::vector<ClientSpec> clients;
-  ClientSpec heavy;
-  heavy.label = "Heavy";
-  heavy.qps = 600;
-  heavy.start = 0;
-  heavy.stop = Seconds(60);
-  heavy.pattern = attacker_pattern == QueryPattern::kNx ? QueryPattern::kNxThenWc
-                                                        : QueryPattern::kWc;
-  clients.push_back(heavy);
-
-  ClientSpec medium;
-  medium.label = "Medium";
-  medium.qps = 350;
-  medium.start = 0;
-  medium.stop = Seconds(50);
-  clients.push_back(medium);
-
-  ClientSpec light;
-  light.label = "Light";
-  light.qps = 150;
-  light.start = Seconds(20);
-  light.stop = Seconds(60);
-  clients.push_back(light);
-
-  ClientSpec attacker;
-  attacker.label = "Attacker";
-  attacker.qps = attacker_qps;
-  attacker.start = Seconds(10);
-  attacker.stop = Seconds(60);
-  attacker.pattern = attacker_pattern;
-  attacker.is_attacker = true;
-  clients.push_back(attacker);
-  return clients;
-}
-
-ResilienceOptions::ResilienceOptions() {
-  // Paper §5 defaults: per-queue capacity 100, 75 rounds, 100K pool; anomaly
-  // window 2 s, 10 alarms within a 60 s suspicion to convict; NX policy =
-  // rate limit 100 QPS for 20 s; amplification policy = block for 30 s;
-  // inactive state removed after 10 s.
+// Paper §5 defaults: per-queue capacity 100, 75 rounds, 100K pool; anomaly
+// window 2 s, 10 alarms within a 60 s suspicion to convict; NX policy = rate
+// limit 100 QPS for 20 s; amplification policy = block for 30 s; inactive
+// state removed after 10 s.
+DccConfig PaperDcc() {
+  DccConfig dcc;
   dcc.scheduler.pool_capacity = 100000;
   dcc.scheduler.max_poq_depth = 100;
   dcc.scheduler.max_rounds = 75;
-  dcc.scheduler.default_channel_qps = 1000;
+  dcc.scheduler.default_channel_qps = kResilienceChannelQps;
   dcc.anomaly.window = Seconds(2);
   dcc.anomaly.alarms_to_convict = 10;
   dcc.anomaly.suspicion_period = Seconds(60);
@@ -148,97 +85,96 @@ ResilienceOptions::ResilienceOptions() {
   dcc.nx_policy_duration = Seconds(20);
   dcc.amp_policy_duration = Seconds(30);
   dcc.state_idle_timeout = Seconds(10);
-  resolver.upstream_timeout = Milliseconds(800);
-  resolver.upstream_retries = 1;
+  return dcc;
 }
 
-scenario::ScenarioSpec CompileResilienceSpec(const ResilienceOptions& options) {
-  scenario::ScenarioSpec spec;
-  spec.name = "resilience";
-  spec.horizon = options.horizon;
-  spec.seed = options.seed;
+// The §5.1 Table 2 client mix, attacker last. Zones follow the pattern;
+// entry points and seeds are the caller's.
+std::vector<ClientSpec> Table2Mix(QueryPattern pattern, double attacker_qps) {
+  struct Row {
+    const char* label;
+    double qps;
+    int start_s;
+    int stop_s;
+    QueryPattern pattern;
+  };
+  const Row rows[] = {
+      {"Heavy", 600, 0, 60,
+       pattern == QueryPattern::kNx ? QueryPattern::kNxThenWc : QueryPattern::kWc},
+      {"Medium", 350, 0, 50, QueryPattern::kWc},
+      {"Light", 150, 20, 60, QueryPattern::kWc},
+      {"Attacker", attacker_qps, 10, 60, pattern},
+  };
+  std::vector<ClientSpec> clients;
+  for (const Row& row : rows) {
+    ClientSpec client;
+    client.label = row.label;
+    client.qps = row.qps;
+    client.start = Seconds(row.start_s);
+    client.stop = Seconds(row.stop_s);
+    client.pattern = row.pattern;
+    client.zone = row.pattern == QueryPattern::kFf ? kAttackerZone : kTargetZone;
+    clients.push_back(std::move(client));
+  }
+  clients.back().is_attacker = true;
+  return clients;
+}
 
-  const bool has_ff = UsesFf(options.clients);
+}  // namespace
+
+ScenarioSpec MakeResilienceSpec(QueryPattern pattern, double attacker_qps,
+                                bool dcc_enabled) {
+  ScenarioSpec spec;
+  spec.name = "resilience";
+  const bool has_ff = pattern == QueryPattern::kFf;
   spec.zones.push_back(TargetZone());
   if (has_ff) {
     spec.zones.push_back(AttackerZone());
   }
 
   AuthoritativeConfig auth_config;
-  auth_config.rrl = ChannelRrl(options.channel_qps);
+  auth_config.rrl = ChannelRrl(kResilienceChannelQps);
   spec.nodes.push_back(AuthNode("target-ans", kTargetZone, auth_config));
   if (has_ff) {
     spec.nodes.push_back(AuthNode("attacker-ans", kAttackerZone));
   }
 
-  scenario::NodeSpec resolver;
+  NodeSpec resolver;
   resolver.id = "resolver";
-  resolver.kind = scenario::NodeKind::kResolver;
-  resolver.resolver = options.resolver;
+  resolver.kind = NodeKind::kResolver;
+  resolver.resolver = PaperResolver();
   resolver.hints.push_back({kTargetZone, "target-ans"});
   if (has_ff) {
     resolver.hints.push_back({kAttackerZone, "attacker-ans"});
   }
-  if (options.dcc_enabled) {
+  if (dcc_enabled) {
     resolver.dcc_enabled = true;
-    resolver.dcc = options.dcc;
-    resolver.dcc.scheduler.default_channel_qps = options.channel_qps;
-    resolver.channels.push_back({"target-ans", options.channel_qps});
+    resolver.dcc = PaperDcc();
+    resolver.channels.push_back({"target-ans", kResilienceChannelQps});
   }
   spec.nodes.push_back(std::move(resolver));
 
-  for (size_t i = 0; i < options.clients.size(); ++i) {
-    const ClientSpec& legacy = options.clients[i];
-    scenario::ClientSpec client;
-    client.label = legacy.label;
-    client.qps = legacy.qps;
-    client.start = legacy.start;
-    client.stop = legacy.stop;
-    client.timeout = Milliseconds(1500);
-    client.retries = legacy.retries;
-    client.dcc_aware = legacy.dcc_aware;
-    client.is_attacker = legacy.is_attacker;
-    client.pattern = legacy.pattern;
-    client.zone = legacy.pattern == QueryPattern::kFf ? kAttackerZone : kTargetZone;
-    client.seed = options.seed * 101 + i;
-    client.has_seed = true;
+  spec.clients = Table2Mix(pattern, attacker_qps);
+  for (ClientSpec& client : spec.clients) {
     client.resolvers.push_back("resolver");
-    spec.clients.push_back(std::move(client));
   }
 
-  spec.faults.plan = options.fault_plan;
   spec.measure.client_series = true;
   spec.measure.ans.push_back({"target-ans", "target"});
   spec.measure.trackers.push_back("resolver");
   return spec;
 }
 
-ScenarioResult RunResilienceScenario(const ResilienceOptions& options) {
-  const scenario::ScenarioOutcome outcome =
-      MustRun(CompileResilienceSpec(options), options.telemetry, options.sampler);
-  ScenarioResult result;
-  for (const scenario::ClientOutcome& client : outcome.clients) {
-    result.clients.push_back(ToClientResult(client));
-  }
-  result.ans_qps = outcome.ans[0].qps;
-  result.dcc_convictions = outcome.dcc_convictions;
-  result.dcc_policed_drops = outcome.dcc_policed_drops;
-  result.dcc_servfails = outcome.dcc_servfails;
-  result.dcc_signals_attached = outcome.dcc_signals_attached;
-  return result;
-}
-
-scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options) {
-  scenario::ScenarioSpec spec;
+ScenarioSpec MakeValidationSpec(ValidationSetup setup, double attacker_qps,
+                                int egress_count, uint64_t seed) {
+  ScenarioSpec spec;
   spec.name = "validation";
   spec.horizon = Seconds(50);
-  spec.seed = options.seed;
+  spec.seed = seed;
 
-  const bool amplified = options.setup == ValidationSetup::kRedundantAuth ||
-                         options.setup == ValidationSetup::kRedundantResolver ||
-                         options.setup == ValidationSetup::kLargeResolver;
-  const int ans_count = options.setup == ValidationSetup::kRedundantAuth ||
-                                options.setup == ValidationSetup::kRedundantResolver
+  const bool amplified = setup != ValidationSetup::kForwarder;
+  const int ans_count = setup == ValidationSetup::kRedundantAuth ||
+                                setup == ValidationSetup::kRedundantResolver
                             ? 2
                             : 1;
 
@@ -248,7 +184,7 @@ scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options) {
   }
 
   AuthoritativeConfig auth_config;
-  auth_config.rrl = ChannelRrl(options.channel_qps);
+  auth_config.rrl = ChannelRrl(kValidationChannelQps);
   // Public resolvers were observed to lower their limits or temporarily
   // block clients that exceed them (§2.2.1); the validation setups model
   // that punitive behavior.
@@ -263,15 +199,12 @@ scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options) {
     spec.nodes.push_back(AuthNode("attacker-ans", kAttackerZone));
   }
 
-  ResolverConfig resolver_config;
-  resolver_config.upstream_timeout = Milliseconds(800);
-  resolver_config.upstream_retries = 1;
   int resolver_count = 0;
   auto make_resolver = [&](double ingress_limit) {
-    scenario::NodeSpec node;
+    NodeSpec node;
     node.id = "r" + std::to_string(resolver_count++);
-    node.kind = scenario::NodeKind::kResolver;
-    node.resolver = resolver_config;
+    node.kind = NodeKind::kResolver;
+    node.resolver = PaperResolver();
     if (ingress_limit > 0) {
       node.resolver.ingress_rrl = ChannelRrl(ingress_limit);
       node.resolver.ingress_rrl.penalty = Milliseconds(300);
@@ -285,33 +218,30 @@ scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options) {
     return node;
   };
 
-  // Entry points the clients talk to. Node creation order matches the legacy
-  // imperative order (addresses!): in setup (d) the forwarder is created
-  // before its egress resolvers and references them forward.
+  // Entry points the clients talk to. Node order is address order: in setup
+  // (d) the forwarder precedes its egress resolvers and references them
+  // forward.
   std::vector<std::string> entry_points;
   int client_retries = 0;
-  switch (options.setup) {
-    case ValidationSetup::kRedundantAuth: {
-      scenario::NodeSpec r = make_resolver(0);
-      entry_points.push_back(r.id);
-      spec.nodes.push_back(std::move(r));
-      break;
-    }
+  switch (setup) {
+    case ValidationSetup::kRedundantAuth:
     case ValidationSetup::kRedundantResolver: {
-      for (int i = 0; i < 2; ++i) {
-        scenario::NodeSpec r = make_resolver(0);
+      const int resolvers = setup == ValidationSetup::kRedundantAuth ? 1 : 2;
+      for (int i = 0; i < resolvers; ++i) {
+        NodeSpec r = make_resolver(0);
         entry_points.push_back(r.id);
         spec.nodes.push_back(std::move(r));
       }
-      client_retries = 1;  // Failed requests retried at the other resolver.
+      // Setup (b): failed requests are retried at the other resolver.
+      client_retries = resolvers - 1;
       break;
     }
     case ValidationSetup::kForwarder: {
       // The RR channel capacity is the upstream resolver's ingress limit.
-      scenario::NodeSpec upstream = make_resolver(options.channel_qps);
-      scenario::NodeSpec fwd;
+      NodeSpec upstream = make_resolver(kValidationChannelQps);
+      NodeSpec fwd;
       fwd.id = "fwd";
-      fwd.kind = scenario::NodeKind::kForwarder;
+      fwd.kind = NodeKind::kForwarder;
       fwd.upstreams.push_back(upstream.id);
       spec.nodes.push_back(std::move(upstream));
       entry_points.push_back(fwd.id);
@@ -321,52 +251,47 @@ scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options) {
     case ValidationSetup::kLargeResolver: {
       // Ingress load balancer over `egress_count` recursive egresses, each
       // with its own (rate-limited) channel to the target ANS.
-      scenario::NodeSpec fwd;
+      NodeSpec fwd;
       fwd.id = "fwd";
-      fwd.kind = scenario::NodeKind::kForwarder;
+      fwd.kind = NodeKind::kForwarder;
       fwd.forwarder.cache_enabled = false;  // Large systems: internal layers.
-      for (int i = 0; i < options.egress_count; ++i) {
+      for (int i = 0; i < egress_count; ++i) {
         fwd.upstreams.push_back("r" + std::to_string(i));
       }
       entry_points.push_back(fwd.id);
       spec.nodes.push_back(std::move(fwd));
-      for (int i = 0; i < options.egress_count; ++i) {
+      for (int i = 0; i < egress_count; ++i) {
         spec.nodes.push_back(make_resolver(0));
       }
       break;
     }
   }
 
-  // Clients: attacker 0-50 s; three benign clients at 3 QPS, 5-35 s. The
-  // attacker targets every available entry point (the paper's setup (b)
+  // The attacker targets every available entry point (the paper's setup (b)
   // observation: congestion arises at both resolvers).
-  scenario::ClientSpec attacker;
+  ClientSpec attacker;
   attacker.label = "attacker";
-  attacker.qps = options.attacker_qps;
+  attacker.qps = attacker_qps;
   attacker.start = 0;
   attacker.stop = spec.horizon;
-  attacker.timeout = Milliseconds(1500);
   attacker.rotate_resolvers = true;
   attacker.is_attacker = true;
-  attacker.pattern = options.setup == ValidationSetup::kForwarder
-                         ? QueryPattern::kWc
-                         : QueryPattern::kFf;
-  attacker.zone = attacker.pattern == QueryPattern::kFf ? kAttackerZone : kTargetZone;
-  attacker.seed = options.seed * 31;
+  attacker.pattern = amplified ? QueryPattern::kFf : QueryPattern::kWc;
+  attacker.zone = amplified ? kAttackerZone : kTargetZone;
+  attacker.seed = seed * 31;
   attacker.has_seed = true;
   attacker.resolvers = entry_points;
   spec.clients.push_back(std::move(attacker));
 
   for (int i = 0; i < 3; ++i) {
-    scenario::ClientSpec benign;
+    ClientSpec benign;
     benign.label = "benign" + std::to_string(i);
     benign.qps = 3;
     benign.start = Seconds(5);
     benign.stop = Seconds(35);
-    benign.timeout = Milliseconds(1500);
     benign.retries = client_retries;
     benign.zone = kTargetZone;
-    benign.seed = options.seed * 1000 + i;
+    benign.seed = seed * 1000 + i;
     benign.has_seed = true;
     benign.resolvers = entry_points;
     spec.clients.push_back(std::move(benign));
@@ -380,35 +305,11 @@ scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options) {
   return spec;
 }
 
-ValidationResult RunValidationScenario(const ValidationOptions& options) {
-  const scenario::ScenarioOutcome outcome =
-      MustRun(CompileValidationSpec(options), options.telemetry, options.sampler);
-  ValidationResult result;
-  uint64_t ok = 0;
-  uint64_t total = 0;
-  for (const scenario::ClientOutcome& client : outcome.clients) {
-    if (client.is_attacker) {
-      result.attacker_success_ratio = client.success_ratio;
-      continue;
-    }
-    ok += client.succeeded;
-    total += client.succeeded + client.failed;
-  }
-  result.benign_success_ratio =
-      total > 0 ? static_cast<double>(ok) / static_cast<double>(total) : 0;
-  for (const scenario::AnsOutcome& ans : outcome.ans) {
-    result.ans_peak_qps = std::max(result.ans_peak_qps, ans.peak_qps);
-  }
-  return result;
-}
-
-scenario::ScenarioSpec CompileSignalingSpec(const SignalingOptions& options) {
-  scenario::ScenarioSpec spec;
+ScenarioSpec MakeSignalingSpec(QueryPattern pattern, double attacker_qps,
+                               bool signaling_enabled) {
+  ScenarioSpec spec;
   spec.name = "signaling";
-  spec.horizon = options.horizon;
-  spec.seed = options.seed;
-
-  const bool has_ff = options.attacker_pattern == QueryPattern::kFf;
+  const bool has_ff = pattern == QueryPattern::kFf;
   spec.zones.push_back(TargetZone());
   if (has_ff) {
     spec.zones.push_back(AttackerZone());
@@ -418,62 +319,47 @@ scenario::ScenarioSpec CompileSignalingSpec(const SignalingOptions& options) {
     spec.nodes.push_back(AuthNode("attacker-ans", kAttackerZone));
   }
 
-  ResilienceOptions defaults;  // Reuse the paper-default DCC parameters.
-
   // Recursive resolver (egress), DCC-enabled.
-  scenario::NodeSpec resolver;
+  NodeSpec resolver;
   resolver.id = "resolver";
-  resolver.kind = scenario::NodeKind::kResolver;
-  resolver.resolver = defaults.resolver;
+  resolver.kind = NodeKind::kResolver;
+  resolver.resolver = PaperResolver();
   resolver.hints.push_back({kTargetZone, "target-ans"});
   if (has_ff) {
     resolver.hints.push_back({kAttackerZone, "attacker-ans"});
   }
   resolver.dcc_enabled = true;
-  resolver.dcc = defaults.dcc;
-  resolver.dcc.signaling_enabled = options.signaling_enabled;
-  resolver.dcc.scheduler.default_channel_qps = options.channel_qps;
-  resolver.channels.push_back({"target-ans", options.channel_qps});
+  resolver.dcc = PaperDcc();
+  resolver.dcc.signaling_enabled = signaling_enabled;
+  resolver.channels.push_back({"target-ans", kResilienceChannelQps});
   spec.nodes.push_back(std::move(resolver));
 
   // Forwarder (ingress), DCC-enabled. Its own anomaly detection is disabled:
   // the experiment isolates the effect of the signaling mechanism, as in the
   // paper where the forwarder reacts to upstream signals with the default
   // block policy and a countdown threshold of 5.
-  scenario::NodeSpec forwarder;
+  NodeSpec forwarder;
   forwarder.id = "forwarder";
-  forwarder.kind = scenario::NodeKind::kForwarder;
+  forwarder.kind = NodeKind::kForwarder;
   forwarder.upstreams.push_back("resolver");
   forwarder.dcc_enabled = true;
-  forwarder.dcc = defaults.dcc;
-  forwarder.dcc.signaling_enabled = options.signaling_enabled;
+  forwarder.dcc = PaperDcc();
+  forwarder.dcc.signaling_enabled = signaling_enabled;
   forwarder.dcc.countdown_police_threshold = 5;
   forwarder.dcc.anomaly.nx_ratio_threshold = 10.0;       // Never fires locally.
   forwarder.dcc.anomaly.amplification_threshold = 1e12;  // Never fires locally.
-  forwarder.dcc.scheduler.default_channel_qps = options.channel_qps;
-  forwarder.channels.push_back({"resolver", options.channel_qps});
+  forwarder.channels.push_back({"resolver", kResilienceChannelQps});
   spec.nodes.push_back(std::move(forwarder));
 
   // Clients per §5.1: attacker, heavy and light behind the forwarder; medium
   // directly at the recursive resolver; heavy always WC.
-  std::vector<ClientSpec> specs =
-      Table2Clients(options.attacker_pattern, options.attacker_qps);
-  specs[0].pattern = QueryPattern::kWc;  // Heavy always WC here.
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const ClientSpec& legacy = specs[i];
-    scenario::ClientSpec client;
-    client.label = legacy.label;
-    client.qps = legacy.qps;
-    client.start = legacy.start;
-    client.stop = legacy.stop;
-    client.timeout = Milliseconds(1500);
-    client.is_attacker = legacy.is_attacker;
-    client.pattern = legacy.pattern;
-    client.zone = legacy.pattern == QueryPattern::kFf ? kAttackerZone : kTargetZone;
-    client.seed = options.seed * 77 + i;
+  spec.clients = Table2Mix(pattern, attacker_qps);
+  spec.clients[0].pattern = QueryPattern::kWc;
+  for (size_t i = 0; i < spec.clients.size(); ++i) {
+    ClientSpec& client = spec.clients[i];
+    client.seed = 77 + i;
     client.has_seed = true;
-    client.resolvers.push_back(legacy.label == "Medium" ? "resolver" : "forwarder");
-    spec.clients.push_back(std::move(client));
+    client.resolvers.push_back(client.label == "Medium" ? "resolver" : "forwarder");
   }
 
   spec.measure.client_series = true;
@@ -483,118 +369,5 @@ scenario::ScenarioSpec CompileSignalingSpec(const SignalingOptions& options) {
   return spec;
 }
 
-ScenarioResult RunSignalingScenario(const SignalingOptions& options) {
-  const scenario::ScenarioOutcome outcome =
-      MustRun(CompileSignalingSpec(options), options.telemetry, options.sampler);
-  ScenarioResult result;
-  for (const scenario::ClientOutcome& client : outcome.clients) {
-    result.clients.push_back(ToClientResult(client));
-  }
-  result.ans_qps = outcome.ans[0].qps;
-  result.dcc_convictions = outcome.dcc_convictions;
-  result.dcc_policed_drops = outcome.dcc_policed_drops;
-  result.dcc_servfails = outcome.dcc_servfails;
-  result.dcc_signals_attached = outcome.dcc_signals_attached;
-  return result;
-}
-
-ChaosOptions::ChaosOptions() {
-  // The chaos runner exists to exercise graceful degradation, so the
-  // robustness features are on regardless of the ResolverConfig defaults.
-  resolver.serve_stale = true;
-  resolver.adaptive_retry = true;
-  resolver.max_stale = Seconds(600);
-  resolver.upstream_timeout = Milliseconds(800);
-  resolver.upstream_retries = 1;
-  dcc.scheduler.pool_capacity = 100000;
-  dcc.scheduler.max_poq_depth = 100;
-  dcc.scheduler.max_rounds = 75;
-  // Hold-down -> capacity-collapse feedback requires the estimator.
-  dcc.capacity.enabled = true;
-}
-
-scenario::ScenarioSpec CompileChaosSpec(const ChaosOptions& options) {
-  scenario::ScenarioSpec spec;
-  spec.name = "chaos";
-  spec.horizon = options.horizon;
-  spec.seed = options.seed;
-
-  // Redundant authoritatives serving the target zone with short TTLs, so
-  // cached entries expire during the outage and the stale path is exercised.
-  spec.zones.push_back(TargetZone(options.zone_ttl));
-  std::vector<std::string> ans_ids;
-  for (int i = 0; i < options.auth_count; ++i) {
-    const std::string id = "ans" + std::to_string(i);
-    spec.nodes.push_back(AuthNode(id, kTargetZone));
-    ans_ids.push_back(id);
-  }
-
-  scenario::NodeSpec resolver;
-  resolver.id = "resolver";
-  resolver.kind = scenario::NodeKind::kResolver;
-  resolver.resolver = options.resolver;
-  for (const std::string& ans : ans_ids) {
-    resolver.hints.push_back({kTargetZone, ans});
-  }
-  if (options.dcc_enabled) {
-    resolver.dcc_enabled = true;
-    resolver.dcc = options.dcc;
-    resolver.dcc.scheduler.default_channel_qps = options.channel_qps;
-    for (const std::string& ans : ans_ids) {
-      resolver.channels.push_back({ans, options.channel_qps});
-    }
-  }
-  spec.nodes.push_back(std::move(resolver));
-
-  // One benign client cycling a small fixed name pool, so the cache (and
-  // later the stale cache) covers the whole workload.
-  scenario::ClientSpec client;
-  client.label = "Client";
-  client.qps = options.client_qps;
-  client.start = 0;
-  client.stop = options.horizon;
-  client.timeout = Milliseconds(1500);
-  client.zone = kTargetZone;
-  client.seed = options.seed * 101;
-  client.has_seed = true;
-  client.unique_names = options.name_pool;
-  client.resolvers.push_back("resolver");
-  spec.clients.push_back(std::move(client));
-
-  spec.faults.plan = options.fault_plan;
-  if (spec.faults.plan.empty()) {
-    spec.faults.plan.seed = options.seed;
-    for (size_t i = 0; i < ans_ids.size(); ++i) {
-      fault::FaultEvent event;
-      event.type = fault::FaultType::kBlackout;
-      event.start = options.blackout_start;
-      event.end = options.blackout_end;
-      event.a = SpecNodeAddress(spec, i);
-      spec.faults.plan.events.push_back(event);
-    }
-  }
-  // The chaos runner installs the injector before the samplers start.
-  spec.faults.arm_before_sampling = true;
-
-  spec.measure.client_series = true;
-  spec.measure.resolver_series.push_back("resolver");
-  spec.measure.trackers.push_back("resolver");
-  return spec;
-}
-
-ChaosResult RunChaosScenario(const ChaosOptions& options) {
-  const scenario::ScenarioOutcome outcome =
-      MustRun(CompileChaosSpec(options), options.telemetry, options.sampler);
-  ChaosResult result;
-  result.client = ToClientResult(outcome.clients[0]);
-  const scenario::ResolverSeriesOutcome& series = outcome.resolver_series[0];
-  result.stale_served = series.stale_responses;
-  result.upstream_timeouts = series.upstream_timeouts;
-  result.holddowns = series.holddowns;
-  result.fault_activations = outcome.fault_activations;
-  result.upstream_send_qps = series.upstream_send_qps;
-  result.stale_qps = series.stale_qps;
-  return result;
-}
-
+}  // namespace scenario
 }  // namespace dcc

@@ -1,212 +1,63 @@
-// Pre-built experiment scenarios shared by benches, examples and tests.
+// Spec builders for the paper's evaluation topologies, shared by the
+// Fig. 4/8/9 benches, dcc_search's seed specs and the tests:
+//  * MakeResilienceSpec — the §5.1 single-resolver evaluation (Table 2 /
+//    Fig. 8): the Table 2 client mix against a vanilla or DCC-enabled
+//    resolver on a 1000-QPS channel.
+//  * MakeValidationSpec — the §2.3 attack-validation setups (Fig. 3/4):
+//    vanilla resolvers behind 100-QPS channels.
+//  * MakeSignalingSpec  — the §5.1 signaling evaluation (Fig. 9): forwarder
+//    -> resolver path, both DCC-enabled, signaling on or off.
 //
-// Four entry points cover the paper's evaluation topologies:
-//  * RunValidationScenario  — the §2.3 attack-validation setups (Fig. 3/4):
-//    vanilla resolvers, capacity-limited channels, benign success ratio vs
-//    attacker QPS.
-//  * RunResilienceScenario  — the §5.1 single-resolver evaluation (Table 2 /
-//    Fig. 8): four clients with start/stop schedules against a vanilla or
-//    DCC-enabled resolver; per-second effective QPS per client.
-//  * RunSignalingScenario   — the §5.1 signaling evaluation (Fig. 9):
-//    forwarder -> resolver path, both DCC-enabled, signaling on or off.
-//  * RunChaosScenario       — robustness under injected faults: a FaultPlan
-//    (default: blackout of every authoritative) against a serve-stale
-//    resolver; measures stale answers, hold-downs, upstream send rate and
-//    recovery.
+// Each builder takes only what its callers sweep and returns a plain
+// scenario::ScenarioSpec; anything else (horizon, seed, client schedules,
+// DCC parameters) is changed on the returned struct. Run a spec with
+// scenario::RunScenarioSpec and read the ScenarioOutcome. Validated, each
+// builder's defaults write byte-for-byte as the committed
+// examples/scenarios/{resilience,validation,signaling}.json.
 //
-// Each runner is a thin adapter: Compile*Spec lowers its option struct into
-// a declarative scenario::ScenarioSpec, the generic ScenarioEngine
-// (src/scenario/engine.h) executes it, and the runner reshapes the
-// ScenarioOutcome into its legacy result struct. A compiled spec replays the
-// original hand-built topology event-for-event; the Compile*Spec functions
-// are exposed so tools can dump the specs (`dcc_sim <scenario> --dump-spec`)
-// and tests can assert the equivalence.
+// Address layout for hand-written fault plans: nodes in spec order from
+// 10.0.0.1, then one address per client (see SpecNodeAddress).
 
 #ifndef SRC_SCENARIO_SCENARIOS_H_
 #define SRC_SCENARIO_SCENARIOS_H_
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "src/attack/testbed.h"
-#include "src/dcc/dcc_node.h"
-#include "src/fault/fault_plan.h"
-#include "src/scenario/engine.h"
 #include "src/scenario/spec.h"
-#include "src/telemetry/sampler.h"
-#include "src/telemetry/telemetry.h"
 
 namespace dcc {
+namespace scenario {
 
-// The canonical pattern enum lives with the spec library; legacy call sites
-// keep using dcc::QueryPattern::kWc etc. unchanged.
-using scenario::QueryPattern;
-
-struct ClientSpec {
-  std::string label;
-  double qps = 1.0;
-  Time start = 0;
-  Time stop = Seconds(60);
-  QueryPattern pattern = QueryPattern::kWc;
-  bool is_attacker = false;
-  bool dcc_aware = false;
-  int retries = 0;
-};
-
-// The §5.1 Table 2 client mix for a given attacker pattern.
-std::vector<ClientSpec> Table2Clients(QueryPattern attacker_pattern,
-                                      double attacker_qps);
-
-struct ClientResult {
-  std::string label;
-  std::vector<double> effective_qps;  // Per-second successful responses.
-  double success_ratio = 0;
-  uint64_t sent = 0;
-  uint64_t succeeded = 0;
-};
-
-struct ScenarioResult {
-  std::vector<ClientResult> clients;
-  // Target-ANS query rate per second (the FF attacker's effective QPS is
-  // derived from this, as in the paper's Fig. 8 caption).
-  std::vector<double> ans_qps;
-  uint64_t dcc_convictions = 0;
-  uint64_t dcc_policed_drops = 0;
-  uint64_t dcc_servfails = 0;
-  uint64_t dcc_signals_attached = 0;
-};
-
-// --- §5.1 resilience (Fig. 8) ------------------------------------------------
-
-struct ResilienceOptions {
-  bool dcc_enabled = true;
-  double channel_qps = 1000;
-  std::vector<ClientSpec> clients;
-  Duration horizon = Seconds(60);
-  uint64_t seed = 1;
-  // DCC parameters default to the paper's §5 settings; override as needed.
-  DccConfig dcc;
-  ResolverConfig resolver;
-  // Optional observability sink (not owned). When set, every host in the
-  // scenario is wired into it; callback gauges are frozen to their final
-  // values before the runner returns, so the sink outlives the testbed.
-  telemetry::TelemetrySink* telemetry = nullptr;
-  // Optional time-series sampler (not owned). When set, it is ticked on its
-  // own interval for the whole run and fed the full introspection seam:
-  // per-client success/sent rates, target-ANS query rate, per-channel DCC
-  // scheduler state (queue depth, credit, capacity estimate), anomaly and
-  // policer state, and per-upstream SRTT/hold-down. The sampler outlives the
-  // testbed; series stay readable after the runner returns.
-  telemetry::TimeSeriesSampler* sampler = nullptr;
-  // Optional fault timeline, installed after the topology is built. Address
-  // layout for hand-written plans: the target ANS is the first address
-  // (10.0.0.1), the attacker ANS (FF workloads only) the second, the
-  // resolver next, then one address per client.
-  fault::FaultPlan fault_plan;
-
-  ResilienceOptions();
-};
-
-scenario::ScenarioSpec CompileResilienceSpec(const ResilienceOptions& options);
-ScenarioResult RunResilienceScenario(const ResilienceOptions& options);
-
-// --- §2.3 validation (Fig. 4) ------------------------------------------------
+// Table 2 clients (Heavy, Medium, Light, Attacker, in that order) with the
+// attacker on `pattern` at `attacker_qps`; with an NX attacker the heavy
+// client starts on NX too (Fig. 8b). Paper §5 DCC defaults. Client seeds are
+// left to validation (run seed x 101 + index).
+ScenarioSpec MakeResilienceSpec(QueryPattern pattern = QueryPattern::kWc,
+                                double attacker_qps = 1100,
+                                bool dcc_enabled = true);
 
 enum class ValidationSetup {
   kRedundantAuth,      // (a) 2 authoritative servers, 1 resolver, FF attack.
   kRedundantResolver,  // (b) 2 resolvers, clients retry across them, FF.
-  kForwarder,          // (c) forwarder with 3 upstreams, WC attack.
+  kForwarder,          // (c) forwarder before a rate-limited resolver, WC.
   kLargeResolver,      // (d) ingress LB over E egress resolvers, FF attack.
 };
 
-struct ValidationOptions {
-  ValidationSetup setup = ValidationSetup::kRedundantAuth;
-  double attacker_qps = 1.0;
-  double channel_qps = 100;  // RA/RR channel capacity (paper: 100).
-  int egress_count = 4;      // Setup (d) only.
-  uint64_t seed = 1;
-  // Optional observability sink (see ResilienceOptions::telemetry).
-  telemetry::TelemetrySink* telemetry = nullptr;
-  // Optional time-series sampler (see ResilienceOptions::sampler).
-  telemetry::TimeSeriesSampler* sampler = nullptr;
-};
+// One attacker (0-50 s, every entry point) and three 3-QPS benign clients
+// (5-35 s). `egress_count` applies to setup (d) only. Client seeds are
+// pinned from `seed` (attacker seed x 31, benign seed x 1000 + i).
+ScenarioSpec MakeValidationSpec(
+    ValidationSetup setup = ValidationSetup::kRedundantAuth,
+    double attacker_qps = 5, int egress_count = 4, uint64_t seed = 1);
 
-struct ValidationResult {
-  double benign_success_ratio = 0;
-  double attacker_success_ratio = 0;
-  double ans_peak_qps = 0;
-};
+// Table 2 clients with Heavy always on WC; Medium queries the resolver
+// directly, the others go through the forwarder. Client seeds are pinned to
+// 77 + index (run seed 1).
+ScenarioSpec MakeSignalingSpec(QueryPattern pattern = QueryPattern::kNx,
+                               double attacker_qps = 200,
+                               bool signaling_enabled = true);
 
-scenario::ScenarioSpec CompileValidationSpec(const ValidationOptions& options);
-ValidationResult RunValidationScenario(const ValidationOptions& options);
-
-// --- §5.1 signaling (Fig. 9) --------------------------------------------------
-
-struct SignalingOptions {
-  bool signaling_enabled = true;
-  QueryPattern attacker_pattern = QueryPattern::kNx;
-  double attacker_qps = 200;  // Paper: 200 for NX, 20 for FF.
-  double channel_qps = 1000;
-  Duration horizon = Seconds(60);
-  uint64_t seed = 1;
-  // Optional observability sink (see ResilienceOptions::telemetry).
-  telemetry::TelemetrySink* telemetry = nullptr;
-  // Optional time-series sampler (see ResilienceOptions::sampler).
-  telemetry::TimeSeriesSampler* sampler = nullptr;
-};
-
-scenario::ScenarioSpec CompileSignalingSpec(const SignalingOptions& options);
-ScenarioResult RunSignalingScenario(const SignalingOptions& options);
-
-// --- chaos / graceful degradation ---------------------------------------------
-
-// A benign client at `client_qps` over a small fixed name pool queries a
-// serve-stale resolver backed by `auth_count` redundant authoritatives whose
-// zone uses short TTLs (so cached entries go stale mid-outage). The fault
-// plan — by default a blackout of every authoritative over
-// [blackout_start, blackout_end) — runs on top. Demonstrates end-to-end
-// graceful degradation: stale answers during the outage, hold-down cutting
-// the upstream send rate, and recovery to fresh answers after it lifts.
-struct ChaosOptions {
-  bool dcc_enabled = false;
-  int auth_count = 2;
-  double client_qps = 40;
-  uint32_t zone_ttl = 2;      // Seconds; short so entries expire mid-blackout.
-  uint64_t name_pool = 12;    // Distinct names cycled by the client.
-  Duration horizon = Seconds(40);
-  Time blackout_start = Seconds(10);
-  Time blackout_end = Seconds(25);
-  uint64_t seed = 1;
-  // Overrides the default all-authoritative blackout when non-empty. Address
-  // layout: authoritatives take 10.0.0.1 .. 10.0.0.<auth_count>, the
-  // resolver the next address, then the client.
-  fault::FaultPlan fault_plan;
-  double channel_qps = 1000;  // DCC scheduler capacity (dcc_enabled only).
-  DccConfig dcc;
-  ResolverConfig resolver;  // serve_stale/adaptive_retry forced on by ctor.
-  telemetry::TelemetrySink* telemetry = nullptr;
-  // Optional time-series sampler (see ResilienceOptions::sampler).
-  telemetry::TimeSeriesSampler* sampler = nullptr;
-
-  ChaosOptions();
-};
-
-struct ChaosResult {
-  ClientResult client;
-  uint64_t stale_served = 0;        // Resolver answers from expired entries.
-  uint64_t upstream_timeouts = 0;   // Tracker-observed upstream timeouts.
-  uint64_t holddowns = 0;           // Dead-server hold-down windows entered.
-  uint64_t fault_activations = 0;   // Fault events that fired.
-  // Per-second resolver->upstream transmissions and stale answers (index =
-  // virtual second); the send series shows hold-down cutting retry pressure,
-  // the stale series shows degradation and recovery.
-  std::vector<double> upstream_send_qps;
-  std::vector<double> stale_qps;
-};
-
-scenario::ScenarioSpec CompileChaosSpec(const ChaosOptions& options);
-ChaosResult RunChaosScenario(const ChaosOptions& options);
-
+}  // namespace scenario
 }  // namespace dcc
 
 #endif  // SRC_SCENARIO_SCENARIOS_H_

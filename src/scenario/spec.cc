@@ -798,13 +798,11 @@ void VisitFields(V& v, ScenarioSpec& s) {
 
 // --- top-level parse / write ------------------------------------------------
 
-bool ParseScenarioSpec(std::string_view json_text, ScenarioSpec* spec,
-                       std::string* error) {
+namespace {
+
+bool ReadScenarioSpec(const json::Value& root, ScenarioSpec* spec,
+                      std::string* error) {
   *spec = ScenarioSpec();
-  json::Value root;
-  if (!json::Parse(json_text, &root, error)) {
-    return false;
-  }
   Ctx ctx;
   ctx.error = error;
   Reader reader(ctx);
@@ -812,8 +810,90 @@ bool ParseScenarioSpec(std::string_view json_text, ScenarioSpec* spec,
   return ctx.ok;
 }
 
+}  // namespace
+
+bool ParseScenarioSpec(std::string_view json_text, ScenarioSpec* spec,
+                       std::string* error) {
+  json::Value root;
+  return json::Parse(json_text, &root, error) &&
+         ReadScenarioSpec(root, spec, error);
+}
+
+bool SetSpecField(json::Value* document, std::string_view assignment,
+                  std::string* error) {
+  Ctx ctx;
+  ctx.error = error;
+  const size_t eq = assignment.find('=');
+  const std::string path(assignment.substr(0, eq == std::string_view::npos ? 0 : eq));
+  const std::string malformed =
+      "expected PATH=VALUE, got '" + std::string(assignment) + "'";
+  if (path.empty()) {
+    return ctx.Fail("", malformed);
+  }
+  json::Value* node = document;
+  json::Value* parent = nullptr;  // Object holding `node` under `key`.
+  std::string key;
+  std::string walked;
+  size_t pos = 0;
+  while (pos < path.size()) {
+    if (path[pos] == '[') {
+      const size_t close = path.find(']', pos);
+      const size_t digits = close == std::string::npos ? 0 : close - pos - 1;
+      if (walked.empty() || digits == 0 || digits > 9 ||
+          path.find_first_not_of("0123456789", pos + 1) != close) {
+        return ctx.Fail("", malformed);
+      }
+      const size_t index = std::stoul(path.substr(pos + 1, digits));
+      if (!node->is_array()) {
+        return ctx.Fail(walked, "not an array");
+      }
+      if (index >= node->AsArray().size()) {
+        return ctx.Fail(Idx(walked, index),
+                        "index out of range (" +
+                            std::to_string(node->AsArray().size()) + " elements)");
+      }
+      parent = nullptr;
+      node = node->Element(index);
+      walked = Idx(walked, index);
+      pos = close + 1;
+      continue;
+    }
+    if (!walked.empty()) {
+      if (path[pos] != '.') {
+        return ctx.Fail("", malformed);
+      }
+      ++pos;
+    }
+    const size_t end = std::min(path.find_first_of(".[", pos), path.size());
+    if (end == pos) {
+      return ctx.Fail("", malformed);
+    }
+    key = path.substr(pos, end - pos);
+    json::Value* member = node->Member(key);
+    if (member == nullptr) {
+      return ctx.Fail(walked, "not an object");
+    }
+    parent = node;
+    node = member;
+    walked = Sub(walked, key);
+    pos = end;
+  }
+  const std::string_view text = assignment.substr(eq + 1);
+  json::Value value;
+  if (node->is_string() || !json::Parse(text, &value)) {
+    value = json::Value::OfString(std::string(text));
+  }
+  if (value.is_null() && parent != nullptr) {
+    parent->Remove(key);
+  } else {
+    *node = std::move(value);
+  }
+  return true;
+}
+
 bool LoadScenarioSpecFile(const std::string& path, ScenarioSpec* spec,
-                          std::string* error) {
+                          std::string* error,
+                          const std::vector<std::string>& overrides) {
   std::string text;
   std::FILE* f = path == "-" ? stdin : std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -830,7 +910,12 @@ bool LoadScenarioSpecFile(const std::string& path, ScenarioSpec* spec,
   if (f != stdin) {
     std::fclose(f);
   }
-  if (!ParseScenarioSpec(text, spec, error)) {
+  json::Value root;
+  bool ok = json::Parse(text, &root, error);
+  for (const std::string& assignment : overrides) {
+    ok = ok && SetSpecField(&root, assignment, error);
+  }
+  if (!(ok && ReadScenarioSpec(root, spec, error))) {
     if (error != nullptr) {
       *error = path + ": " + *error;
     }
@@ -882,7 +967,7 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
                           zone.target_zone + "')");
     }
     if (zone.attacker.instances <= 0) {
-      // The legacy sizing: enough distinct instances that every FF request
+      // The default sizing: enough distinct instances that every FF request
       // misses the cache over the whole run.
       double ff_qps = 0;
       for (const ClientSpec& client : spec->clients) {
@@ -1041,8 +1126,8 @@ bool ValidateScenarioSpec(ScenarioSpec* spec, std::string* error) {
     if (client.stop < 0) {
       client.stop = spec->horizon;
     }
-    // stop <= start is allowed (the client simply never sends); legacy
-    // callers truncate schedules that way when shortening the horizon.
+    // stop <= start is allowed (the client simply never sends); callers
+    // truncate schedules that way when shortening the horizon.
     if (!client.has_seed) {
       client.seed = spec->seed * 101 + i;
       client.has_seed = true;

@@ -18,16 +18,16 @@
 // Durations are seconds that must fit in int64 microseconds; an integer
 // member takes only an integral number within its type.
 //
-// The legacy Resilience/Validation/Signaling/Chaos entry points
-// (src/scenario/scenarios.h) compile their option structs into specs via
-// Compile*Spec, so a spec run and the corresponding legacy run are the same
-// event-for-event simulation.
+// The spec is the one front door to a scenario: the paper's topologies are
+// committed under examples/scenarios/ (and built in code by the
+// src/scenario/scenarios.h builders), and `dcc_sim run|validate --spec FILE
+// --set PATH=VALUE` edits any field by the same JSON path the diagnostics
+// print before the document is parsed (SetSpecField below).
 //
 // Determinism contract: everything a spec does not say is derived from
-// ScenarioSpec::seed with the same formulas the legacy runners used
-// (delay-jitter seed = seed*13+1, client i's generator seed = seed*101+i,
-// FF instance counts = max FF QPS x horizon + 8), so a spec + seed is a
-// complete, reproducible description of a run.
+// ScenarioSpec::seed (delay-jitter seed = seed*13+1, client i's generator
+// seed = seed*101+i, FF instance counts = max FF QPS x horizon + 8), so a
+// spec + seed is a complete, reproducible description of a run.
 
 #ifndef SRC_SCENARIO_SPEC_H_
 #define SRC_SCENARIO_SPEC_H_
@@ -70,7 +70,7 @@ struct ZoneSpec {
   TargetZoneOptions target;
   // kAttacker: fan-out options (see MakeAttackerZone). instances <= 0 is
   // materialized by validation to max-FF-client-QPS x horizon + 8, the
-  // "every attack request misses the cache" sizing the legacy runners used.
+  // "every attack request misses the cache" sizing.
   AttackerZoneOptions attacker;
   std::string target_zone;  // kAttacker: id of the zone fanned into.
 };
@@ -147,7 +147,7 @@ struct ClientSpec {
   // Generator seed; when absent, materialized to run seed * 101 + index.
   uint64_t seed = 0;
   bool has_seed = false;
-  // WC/NX name-pool bound (0 = unbounded), the chaos runner's `name_pool`.
+  // WC/NX name-pool bound (0 = unbounded); chaos.json cycles 12 names.
   uint64_t unique_names = 0;
   // kNxThenWc: schedule time at which the pattern flips to WC.
   Duration nx_then_wc_switch = Seconds(20);
@@ -188,7 +188,7 @@ struct MeasureSpec {
   // Fig. 4 saturation peak).
   std::vector<AnsProbeSpec> ans;
   // Resolver nodes whose upstream-send and stale-answer rates are sampled
-  // (the chaos runner's degradation series).
+  // (chaos.json's degradation series).
   std::vector<std::string> resolver_series;
   // Nodes whose UpstreamTracker attaches to the optional user sampler
   // (labels: none when one entry, {"node": id} otherwise).
@@ -199,10 +199,10 @@ struct MeasureSpec {
 
 struct FaultSpec {
   fault::FaultPlan plan;
-  // Arm the injector before the measurement samplers start (the chaos
-  // runner's setup order) instead of after (the other runners'). Only
-  // observable when a fault event collides with a sampler tick to the exact
-  // microsecond; kept so compiled specs replay event-for-event.
+  // Arm the injector before the measurement samplers start (chaos.json's
+  // setup order) instead of after (the default). Only observable when a
+  // fault event collides with a sampler tick to the exact microsecond; kept
+  // so recorded runs replay event-for-event.
   bool arm_before_sampling = false;
 };
 
@@ -234,9 +234,26 @@ HostAddress SpecClientAddress(const ScenarioSpec& spec, size_t client_index);
 bool ParseScenarioSpec(std::string_view json_text, ScenarioSpec* spec,
                        std::string* error);
 
-// Reads `path` (or stdin when path == "-") and parses it.
+// Applies one "PATH=VALUE" override to a spec document before it is parsed.
+// PATH is the JSON path the parser's diagnostics print ("run.horizon",
+// "clients[3].qps", "nodes[1].dcc.signaling_enabled"); objects missing
+// along it are created, so a misspelled key is then rejected by the parser
+// as an unknown key at that path. VALUE is JSON (number, true/false, an
+// object...) or, when it does not parse as JSON or the field it replaces is
+// a string, a plain string ("clients[3].pattern=nx"); `null` removes the
+// key, as in a JSON merge patch ("nodes[1].dcc=null" drops a DCC shim).
+// Returns false with a path-qualified diagnostic for a malformed
+// assignment, an index out of range or a step into a value that is not an
+// object or array.
+bool SetSpecField(json::Value* document, std::string_view assignment,
+                  std::string* error);
+
+// Reads `path` (or stdin when path == "-"), applies `overrides` in order
+// with SetSpecField and parses the result. Diagnostics are prefixed with
+// `path`.
 bool LoadScenarioSpecFile(const std::string& path, ScenarioSpec* spec,
-                          std::string* error);
+                          std::string* error,
+                          const std::vector<std::string>& overrides = {});
 
 // Semantic validation + materialization of derived fields (client stops and
 // seeds, jitter seed, FF instance counts, measurement labels). Returns false

@@ -91,30 +91,27 @@ void EvaluateSeeds(const std::vector<SeedSpec>& seeds,
 std::vector<SeedSpec> DefaultSeedSpecs(Duration horizon, uint64_t seed) {
   struct SeedDef {
     const char* name;
-    QueryPattern pattern;
+    scenario::QueryPattern pattern;
     double qps;
   };
   // WC/NX/FF rates are the paper's §5.1 settings; CQ (never run by the
-  // legacy Table 2 benches) gets 100 QPS — each CQ request costs the
+  // Table 2 benches) gets 100 QPS — each CQ request costs the
   // resolver ~chain_length x labels upstream queries, so 1100 is off-model.
   static const SeedDef kDefs[] = {
-      {"wc", QueryPattern::kWc, 1100},
-      {"nx", QueryPattern::kNx, 1100},
-      {"cq", QueryPattern::kCq, 100},
-      {"ff", QueryPattern::kFf, 50},
+      {"wc", scenario::QueryPattern::kWc, 1100},
+      {"nx", scenario::QueryPattern::kNx, 1100},
+      {"cq", scenario::QueryPattern::kCq, 100},
+      {"ff", scenario::QueryPattern::kFf, 50},
   };
   std::vector<SeedSpec> out;
   for (const SeedDef& def : kDefs) {
-    ResilienceOptions options;
-    options.dcc_enabled = true;
-    options.channel_qps = 1000;
-    options.horizon = horizon;
-    options.seed = seed;
-    options.clients = Table2Clients(def.pattern, def.qps);
-    scenario::ScenarioSpec spec = CompileResilienceSpec(options);
+    scenario::ScenarioSpec spec =
+        scenario::MakeResilienceSpec(def.pattern, def.qps, /*dcc_enabled=*/true);
+    spec.horizon = horizon;
+    spec.seed = seed;
     spec.name = std::string("seed-") + def.name;
-    if (def.pattern == QueryPattern::kCq) {
-      // The legacy compiler never provisions CQ chains; give the target
+    if (def.pattern == scenario::QueryPattern::kCq) {
+      // The Table 2 builder never provisions CQ chains; give the target
       // zone enough instances that the attacker cycles distinct chains.
       for (scenario::ZoneSpec& zone : spec.zones) {
         if (zone.kind == scenario::ZoneKind::kTarget) {
@@ -123,7 +120,7 @@ std::vector<SeedSpec> DefaultSeedSpecs(Duration horizon, uint64_t seed) {
       }
     }
     // Materialize derived fields now so candidate-vs-seed diffs show only
-    // what a mutation changed, not validation's own bookkeeping. Compiled
+    // what a mutation changed, not validation's own bookkeeping. Built
     // specs are valid by construction.
     std::string error;
     if (!ValidateScenarioSpec(&spec, &error)) {

@@ -32,8 +32,8 @@ struct SeedSpec {
   scenario::ScenarioSpec spec;
 };
 
-// The four legacy §5.1 attack scenarios (WC/NX/CQ/FF Table 2 mixes against a
-// DCC-enabled resolver on a 1000-QPS channel), compiled to specs at the
+// The four §5.1 attack scenarios (WC/NX/CQ/FF Table 2 mixes against a
+// DCC-enabled resolver on a 1000-QPS channel), built as specs at the
 // given horizon and run seed. These are both the search starting points and
 // the baselines a discovered scenario must beat.
 std::vector<SeedSpec> DefaultSeedSpecs(Duration horizon, uint64_t seed);

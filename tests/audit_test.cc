@@ -52,11 +52,11 @@ scenario::ScenarioSpec LoadSpec(const char* name) {
 // The 3 s seeded fig8 slice used by profiler_test's neutrality gate: long
 // enough that the policer/MOPI/anomaly paths all fire, short enough for CI.
 scenario::ScenarioSpec Fig8Spec() {
-  ResilienceOptions options;
-  options.horizon = Seconds(3);
-  options.seed = 42;
-  options.clients = Table2Clients(QueryPattern::kNx, /*attacker_qps=*/200);
-  return CompileResilienceSpec(options);
+  scenario::ScenarioSpec spec =
+      scenario::MakeResilienceSpec(scenario::QueryPattern::kNx, /*attacker_qps=*/200);
+  spec.horizon = Seconds(3);
+  spec.seed = 42;
+  return spec;
 }
 
 // The seeded fig8 resilience deliverable, trimmed to the shortest horizon at

@@ -1,6 +1,6 @@
 // Tests for the shared benign-collateral summaries (src/measure/fairness):
 // victim selection, starvation streaks, Jain aggregation, the Fig. 8 landed-
-// load series, and the legacy-result converter's attacker-by-label rule.
+// load series, and the Fig. 4 pooled benign success ratio.
 
 #include <gtest/gtest.h>
 
@@ -90,22 +90,21 @@ TEST(FairnessTest, AttackerLandedSeriesSubtractsBenignShare) {
   EXPECT_DOUBLE_EQ(landed[2], 25);  // 30 - 5.
 }
 
-TEST(FairnessTest, LegacyResultConverterMarksAttackerByLabel) {
-  ScenarioResult result;
-  ClientResult benign;
-  benign.label = "Heavy";
-  benign.sent = 10;
-  benign.success_ratio = 0.4;
-  ClientResult attacker;
-  attacker.label = "Attacker";
-  attacker.sent = 10;
-  attacker.success_ratio = 0.1;
-  result.clients = {benign, attacker};
-  const std::vector<ClientFairnessSample> samples = FairnessSamples(result);
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_FALSE(samples[0].is_attacker);
-  EXPECT_TRUE(samples[1].is_attacker);
-  EXPECT_EQ(SummarizeBenignCollateral(samples).worst_label, "Heavy");
+// Fig. 4 pools answered / (answered + failed) over benign clients only, so
+// a busier benign client weighs more than in the mean ratio.
+TEST(FairnessTest, PooledBenignSuccessSkipsAttackerAndWeighsByVolume) {
+  auto client = [](bool attacker, uint64_t succeeded, uint64_t failed) {
+    scenario::ClientOutcome outcome;
+    outcome.is_attacker = attacker;
+    outcome.succeeded = succeeded;
+    outcome.failed = failed;
+    return outcome;
+  };
+  EXPECT_DOUBLE_EQ(PooledBenignSuccess({client(true, 0, 90), client(false, 30, 10),
+                                        client(false, 0, 10)}),
+                   0.6);
+  EXPECT_EQ(PooledBenignSuccess({client(true, 5, 5)}), 0);
+  EXPECT_EQ(PooledBenignSuccess({}), 0);
 }
 
 }  // namespace

@@ -270,11 +270,10 @@ TEST(ProfilerTest, WriteProfileJsonContainsSchema) {
 // The tentpole guarantee: running with the profiler enabled leaves the
 // simulation byte-identical — same events executed, same full outcome JSON.
 TEST(ProfilerDeterminismTest, ProfilingDoesNotPerturbScenario) {
-  ResilienceOptions options;
-  options.horizon = Seconds(3);
-  options.seed = 42;
-  options.clients = Table2Clients(QueryPattern::kNx, /*attacker_qps=*/200);
-  const scenario::ScenarioSpec spec = CompileResilienceSpec(options);
+  scenario::ScenarioSpec spec =
+      scenario::MakeResilienceSpec(scenario::QueryPattern::kNx, /*attacker_qps=*/200);
+  spec.horizon = Seconds(3);
+  spec.seed = 42;
 
   auto run = [&spec](bool profiled) {
     prof::Reset();

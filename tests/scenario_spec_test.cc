@@ -1,8 +1,8 @@
 // Tests for the declarative scenario layer (src/scenario): JSON parse and
 // validation diagnostics, write -> parse round-trip exactness, the example
-// specs under examples/scenarios/, and golden equivalence between the legacy
-// Run*Scenario entry points and the generic engine executing the compiled
-// (and JSON-round-tripped) specs.
+// specs under examples/scenarios/, the paper-topology builders (their
+// defaults are the committed specs), and PATH=VALUE overrides (dcc_sim's
+// --set) resolved against the parser's own JSON paths.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +11,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/scenario/engine.h"
 #include "src/scenario/scenarios.h"
 #include "src/scenario/spec.h"
-#include "src/sim/event_loop.h"
 
 #ifndef DCC_SOURCE_DIR
 #define DCC_SOURCE_DIR "."
@@ -257,7 +257,7 @@ TEST(SpecValidateTest, RangeChecksNameTheField) {
 }
 
 TEST(SpecRoundTripTest, WriteParseReproducesExactly) {
-  ScenarioSpec spec = CompileResilienceSpec(ResilienceOptions{});
+  ScenarioSpec spec = MakeResilienceSpec();
   std::string error;
   ASSERT_TRUE(ValidateScenarioSpec(&spec, &error)) << error;
   const std::string text = WriteScenarioSpec(spec);
@@ -306,9 +306,10 @@ TEST(SpecRoundTripTest, ExampleSpecsParseAndValidate) {
     }
   }
   std::sort(files.begin(), files.end());
-  EXPECT_EQ(files.size(), 8u);
+  EXPECT_EQ(files.size(), 9u);
   const std::vector<std::string> materialized = {
-      "resilience", "validation", "signaling", "chaos", "found-benign-worst-001"};
+      "resilience",   "validation", "signaling", "chaos", "ff_forensics",
+      "found-benign-worst-001"};
   size_t compared = 0;
   for (const fs::path& file : files) {
     const std::string name = file.stem().string();
@@ -334,129 +335,153 @@ TEST(SpecRoundTripTest, ExampleSpecsParseAndValidate) {
   EXPECT_EQ(compared, materialized.size());
 }
 
-// Runs `spec` via the engine, returning the outcome plus the exact number of
-// loop events the run executed (from the global event counter).
-ScenarioOutcome RunCounted(const ScenarioSpec& spec, uint64_t* events) {
-  const uint64_t before = EventLoop::TotalEventsExecuted();
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+ScenarioOutcome Simulate(const ScenarioSpec& spec) {
   ScenarioOutcome outcome;
   std::string error;
   EXPECT_TRUE(RunScenarioSpec(spec, {}, &outcome, &error)) << error;
-  *events = EventLoop::TotalEventsExecuted() - before;
   return outcome;
 }
 
-// Compiled spec and its JSON round-trip must replay the legacy entry point
-// event-for-event with identical headline metrics.
-template <typename Options, typename Result>
-void ExpectGoldenEquivalence(const Options& options,
-                             ScenarioSpec (*compile)(const Options&),
-                             Result (*run)(const Options&),
-                             uint64_t* legacy_events,
-                             Result* legacy_result,
-                             ScenarioOutcome* outcome) {
-  const uint64_t before = EventLoop::TotalEventsExecuted();
-  *legacy_result = run(options);
-  *legacy_events = EventLoop::TotalEventsExecuted() - before;
+// Each builder's default is the committed spec: validated, it writes byte
+// for byte as the file. Its write -> parse round trip runs the same
+// simulation as the built struct (checked on a 12 s cut to stay quick).
+TEST(SpecBuilderTest, DefaultsAreTheCommittedSpecsAndRoundTrip) {
+  const std::pair<std::string, ScenarioSpec> builders[] = {
+      {"resilience", MakeResilienceSpec()},
+      {"validation", MakeValidationSpec()},
+      {"signaling", MakeSignalingSpec()},
+  };
+  for (const auto& [name, built] : builders) {
+    ScenarioSpec validated = built;
+    std::string error;
+    ASSERT_TRUE(ValidateScenarioSpec(&validated, &error)) << name << ": " << error;
+    EXPECT_EQ(WriteScenarioSpec(validated),
+              ReadFile(DCC_SOURCE_DIR "/examples/scenarios/" + name + ".json"))
+        << name;
 
-  const ScenarioSpec spec = compile(options);
-  uint64_t direct_events = 0;
-  *outcome = RunCounted(spec, &direct_events);
-  EXPECT_EQ(direct_events, *legacy_events);
+    ScenarioSpec cut = built;
+    cut.horizon = Seconds(12);
+    ASSERT_TRUE(ValidateScenarioSpec(&cut, &error)) << name << ": " << error;
+    ScenarioSpec reparsed;
+    ASSERT_TRUE(ParseScenarioSpec(WriteScenarioSpec(cut), &reparsed, &error))
+        << name << ": " << error;
+    const ScenarioOutcome direct = Simulate(cut);
+    EXPECT_GT(direct.events_executed, 0u) << name;
+    EXPECT_EQ(Simulate(reparsed).events_executed, direct.events_executed) << name;
+  }
+}
 
-  ScenarioSpec validated = spec;
+// Applies `assignments` to BaseSpec's document, then parses and validates
+// it; returns the first diagnostic, or "" with the result in `spec`.
+std::string Override(const std::vector<std::string>& assignments,
+                     ScenarioSpec* spec) {
+  json::Value document = ScenarioSpecToJson(BaseSpec());
   std::string error;
-  ASSERT_TRUE(ValidateScenarioSpec(&validated, &error)) << error;
-  ScenarioSpec reparsed;
-  ASSERT_TRUE(ParseScenarioSpec(WriteScenarioSpec(validated), &reparsed, &error))
+  for (const std::string& assignment : assignments) {
+    if (!SetSpecField(&document, assignment, &error)) {
+      return error;
+    }
+  }
+  if (!ParseScenarioSpec(json::Write(document), spec, &error) ||
+      !ValidateScenarioSpec(spec, &error)) {
+    return error;
+  }
+  return "";
+}
+
+TEST(SpecOverrideTest, SetsLeavesOfEveryKindByPath) {
+  ScenarioSpec spec;
+  ASSERT_EQ(Override({"clients[0].qps=75", "clients[0].pattern=nx",
+                      "measure.client_series=false", "run.horizon=2.5",
+                      "run.seed=9", "nodes[1].resolver.upstream_retries=3",
+                      "clients[0].resolvers[0]=resolver", "name=123",
+                      "clients[0].ramp_to_qps=150"},
+                     &spec),
+            "");
+  EXPECT_EQ(spec.clients[0].qps, 75);
+  EXPECT_EQ(spec.clients[0].pattern, QueryPattern::kNx);
+  EXPECT_FALSE(spec.measure.client_series);
+  EXPECT_EQ(spec.horizon, Milliseconds(2500));
+  EXPECT_EQ(spec.seed, 9u);
+  EXPECT_EQ(spec.nodes[1].resolver.upstream_retries, 3);
+  EXPECT_EQ(spec.name, "123");  // A string field takes VALUE verbatim.
+  EXPECT_EQ(spec.clients[0].ramp_to_qps, 150);  // Absent key: created.
+
+  // Objects missing along the path are created: a whole block can be set.
+  ASSERT_EQ(Override({R"(nodes[1].dcc={"signaling_enabled": false})",
+                      R"(nodes[1].channels=[{"node": "ans", "qps": 500}])"},
+                     &spec),
+            "");
+  EXPECT_TRUE(spec.nodes[1].dcc_enabled);
+  EXPECT_FALSE(spec.nodes[1].dcc.signaling_enabled);
+  ASSERT_EQ(spec.nodes[1].channels.size(), 1u);
+  EXPECT_EQ(spec.nodes[1].channels[0].qps, 500);
+
+  // `null` removes a key, as in a JSON merge patch.
+  ASSERT_EQ(Override({R"(nodes[1].dcc={})", "nodes[1].dcc=null",
+                      "clients[0].qps=null"},
+                     &spec),
+            "");
+  EXPECT_FALSE(spec.nodes[1].dcc_enabled);
+  EXPECT_EQ(spec.clients[0].qps, ClientSpec().qps);
+}
+
+TEST(SpecOverrideTest, ErrorsNameThePath) {
+  struct Case {
+    std::string assignment;
+    std::string error;
+  };
+  const Case cases[] = {
+      // Range, integer and duration rules are the parser's and validator's.
+      {"clients[0].qps=0", "clients[0].qps: must be > 0"},
+      {"run.seed=12abc", "run.seed: expected an integer in [0, 18446744073709551615]"},
+      {"run.seed=-1", "run.seed: expected an integer in [0, 18446744073709551615]"},
+      {"run.horizon=1e300",
+       "run.horizon: expected a duration in seconds that fits in int64 microseconds"},
+      {"clients[0].pattern=zz",
+       "clients[0].pattern: unknown value 'zz' (wc|nx|cq|ff|nx_then_wc)"},
+      {"clients[0].attacker=yes", "clients[0].attacker: expected true or false"},
+      // Unknown keys are the parser's unknown-key rejection.
+      {"clients[0].qpz=3", "clients[0].qpz: unknown key"},
+      {"bogus.deeper=1", "bogus: unknown key"},
+      // Indices and steps are checked while walking the path.
+      {"clients[1].qps=3", "clients[1]: index out of range (1 elements)"},
+      {"nodes[1].hints[7].node=ans", "nodes[1].hints[7]: index out of range (1 elements)"},
+      {"run.horizon.x=1", "run.horizon: not an object"},
+      {"run[0]=1", "run: not an array"},
+      // Malformed assignments.
+      {"run.horizon", "expected PATH=VALUE, got 'run.horizon'"},
+      {"=5", "expected PATH=VALUE, got '=5'"},
+      {"clients[x].qps=1", "expected PATH=VALUE, got 'clients[x].qps=1'"},
+      {"clients[0]qps=1", "expected PATH=VALUE, got 'clients[0]qps=1'"},
+      {"run..seed=1", "expected PATH=VALUE, got 'run..seed=1'"},
+      {"[0]=1", "expected PATH=VALUE, got '[0]=1'"},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec spec;
+    EXPECT_EQ(Override({c.assignment}, &spec), c.error) << c.assignment;
+  }
+}
+
+TEST(SpecOverrideTest, FileOverridesApplyInOrderAndPrefixThePath) {
+  const std::string path = DCC_SOURCE_DIR "/examples/scenarios/resilience.json";
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(LoadScenarioSpecFile(path, &spec, &error,
+                                   {"run.horizon=30", "run.horizon=20",
+                                    "clients[3].pattern=nx"}))
       << error;
-  uint64_t roundtrip_events = 0;
-  const ScenarioOutcome rt = RunCounted(reparsed, &roundtrip_events);
-  EXPECT_EQ(roundtrip_events, *legacy_events);
-  ASSERT_EQ(rt.clients.size(), outcome->clients.size());
-  for (size_t i = 0; i < rt.clients.size(); ++i) {
-    EXPECT_EQ(rt.clients[i].sent, outcome->clients[i].sent);
-    EXPECT_EQ(rt.clients[i].succeeded, outcome->clients[i].succeeded);
-  }
-}
-
-TEST(GoldenEquivalenceTest, Resilience) {
-  ResilienceOptions options;
-  options.horizon = Seconds(12);
-  options.clients = Table2Clients(QueryPattern::kNx, 1100);
-  for (auto& client : options.clients) {
-    client.stop = std::min(client.stop, options.horizon);
-  }
-  uint64_t legacy_events = 0;
-  ScenarioResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileResilienceSpec,
-                          RunResilienceScenario, &legacy_events, &legacy,
-                          &outcome);
-  ASSERT_EQ(outcome.clients.size(), legacy.clients.size());
-  for (size_t i = 0; i < legacy.clients.size(); ++i) {
-    EXPECT_EQ(outcome.clients[i].sent, legacy.clients[i].sent);
-    EXPECT_EQ(outcome.clients[i].succeeded, legacy.clients[i].succeeded);
-    EXPECT_EQ(outcome.clients[i].effective_qps, legacy.clients[i].effective_qps);
-  }
-  EXPECT_EQ(outcome.ans[0].qps, legacy.ans_qps);
-  EXPECT_EQ(outcome.dcc_convictions, legacy.dcc_convictions);
-  EXPECT_EQ(outcome.dcc_policed_drops, legacy.dcc_policed_drops);
-  EXPECT_EQ(outcome.dcc_servfails, legacy.dcc_servfails);
-}
-
-TEST(GoldenEquivalenceTest, ValidationRedundantResolverFf) {
-  ValidationOptions options;
-  options.setup = ValidationSetup::kRedundantResolver;
-  options.attacker_qps = 8;
-  uint64_t legacy_events = 0;
-  ValidationResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileValidationSpec,
-                          RunValidationScenario, &legacy_events, &legacy,
-                          &outcome);
-  EXPECT_EQ(outcome.clients[0].success_ratio, legacy.attacker_success_ratio);
-  double peak = 0;
-  for (const auto& ans : outcome.ans) {
-    peak = std::max(peak, ans.peak_qps);
-  }
-  EXPECT_EQ(peak, legacy.ans_peak_qps);
-}
-
-TEST(GoldenEquivalenceTest, SignalingNx) {
-  SignalingOptions options;
-  options.horizon = Seconds(12);
-  options.attacker_qps = 150;
-  uint64_t legacy_events = 0;
-  ScenarioResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileSignalingSpec, RunSignalingScenario,
-                          &legacy_events, &legacy, &outcome);
-  ASSERT_EQ(outcome.clients.size(), legacy.clients.size());
-  for (size_t i = 0; i < legacy.clients.size(); ++i) {
-    EXPECT_EQ(outcome.clients[i].sent, legacy.clients[i].sent);
-    EXPECT_EQ(outcome.clients[i].succeeded, legacy.clients[i].succeeded);
-  }
-  EXPECT_EQ(outcome.dcc_signals_attached, legacy.dcc_signals_attached);
-}
-
-TEST(GoldenEquivalenceTest, ChaosWithDefaultBlackout) {
-  ChaosOptions options;
-  options.horizon = Seconds(20);
-  options.blackout_start = Seconds(5);
-  options.blackout_end = Seconds(12);
-  uint64_t legacy_events = 0;
-  ChaosResult legacy;
-  ScenarioOutcome outcome;
-  ExpectGoldenEquivalence(options, CompileChaosSpec, RunChaosScenario,
-                          &legacy_events, &legacy, &outcome);
-  EXPECT_EQ(outcome.clients[0].sent, legacy.client.sent);
-  EXPECT_EQ(outcome.clients[0].succeeded, legacy.client.succeeded);
-  ASSERT_EQ(outcome.resolver_series.size(), 1u);
-  EXPECT_EQ(outcome.resolver_series[0].stale_responses, legacy.stale_served);
-  EXPECT_EQ(outcome.resolver_series[0].holddowns, legacy.holddowns);
-  EXPECT_EQ(outcome.resolver_series[0].upstream_send_qps,
-            legacy.upstream_send_qps);
-  EXPECT_EQ(outcome.fault_activations, legacy.fault_activations);
+  EXPECT_EQ(spec.horizon, Seconds(20));
+  EXPECT_EQ(spec.clients[3].pattern, QueryPattern::kNx);
+  EXPECT_FALSE(LoadScenarioSpecFile(path, &spec, &error, {"clients[4].qps=1"}));
+  EXPECT_EQ(error, path + ": clients[4]: index out of range (4 elements)");
 }
 
 }  // namespace

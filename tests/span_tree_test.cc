@@ -12,11 +12,16 @@
 #include <string>
 #include <vector>
 
-#include "src/scenario/scenarios.h"
 #include "src/common/json.h"
+#include "src/scenario/engine.h"
+#include "src/scenario/spec.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/trace.h"
+
+#ifndef DCC_SOURCE_DIR
+#define DCC_SOURCE_DIR "."
+#endif
 
 namespace dcc {
 namespace telemetry {
@@ -284,28 +289,32 @@ TEST(ChromeTraceTest, TracerOverloadExportsRetainedWindow) {
 // --- end-to-end FF forensics -------------------------------------------------
 
 // The acceptance check on the paper's Fig. 8 FF configuration (the Table 2
-// client mix, fanout_a = fanout_t = 7): on an uncongested vanilla run the
-// attribution engine must measure the attacker within 20% of fan-out^2 = 49
-// upstream queries per request and rank it above every benign client. The
-// same run is documented as the dcc_trace walkthrough in EXPERIMENTS.md.
+// client mix, fanout_a = fanout_t = 7) in examples/scenarios/ff_forensics.json:
+// on an uncongested vanilla run (2-QPS attacker, 100000-QPS channel, 25 s)
+// the attribution engine must measure the attacker within 20% of
+// fan-out^2 = 49 upstream queries per request and rank it above every benign
+// client. The same run is documented as the dcc_trace walkthrough in
+// EXPERIMENTS.md.
 TEST(SpanTreeForensicsTest, FfAttackerAmplificationNearFanoutSquared) {
+  scenario::ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(scenario::LoadScenarioSpecFile(
+      DCC_SOURCE_DIR "/examples/scenarios/ff_forensics.json", &spec, &error))
+      << error;
   TelemetrySink sink;
-  ResilienceOptions options;
-  options.telemetry = &sink;
-  options.dcc_enabled = false;      // Vanilla resolver: nothing policed away.
-  options.channel_qps = 100000;     // Uncongested: the full fan-out completes.
-  options.horizon = Seconds(25);
-  options.clients = Table2Clients(QueryPattern::kFf, /*attacker_qps=*/2);
-  for (auto& client : options.clients) {
-    client.stop = std::min(client.stop, options.horizon);
-  }
-  RunResilienceScenario(options);
+  scenario::EngineHooks hooks;
+  hooks.telemetry = &sink;
+  scenario::ScenarioOutcome outcome;
+  ASSERT_TRUE(scenario::RunScenarioSpec(spec, hooks, &outcome, &error)) << error;
 
-  // Address layout (see ResilienceOptions::fault_plan comment): target ANS,
-  // attacker ANS, resolver, then one address per client in spec order
-  // (Heavy, Medium, Light, Attacker).
-  const uint32_t target_ans = 0x0a000001;
-  const uint32_t attacker_addr = 0x0a000007;
+  // Address layout (scenario::SpecNodeAddress): target ANS, attacker ANS,
+  // resolver, then one address per client in spec order (Heavy, Medium,
+  // Light, Attacker).
+  ASSERT_EQ(spec.nodes.size(), 3u);
+  ASSERT_TRUE(spec.clients[3].is_attacker);
+  const uint32_t target_ans = scenario::SpecNodeAddress(spec, 0);
+  const uint32_t attacker_addr = scenario::SpecClientAddress(spec, 3);
+  ASSERT_EQ(attacker_addr, 0x0a000007u);
 
   const std::vector<SpanTree> trees = BuildSpanTrees(sink.trace);
   ASSERT_FALSE(trees.empty());

@@ -63,7 +63,7 @@ std::vector<ScenarioSpec> BaseSpecs() {
 // write -> parse -> write fixed point and re-validate unchanged.
 TEST(SpecFuzzTest, MutatedSpecsRoundTrip) {
   const std::vector<ScenarioSpec> bases = BaseSpecs();
-  ASSERT_EQ(bases.size(), 12u);
+  ASSERT_EQ(bases.size(), 13u);  // 4 seed specs + 9 committed specs.
   Rng rng(20241017);
   ScenarioSpec current = bases[0];
   int valid = 0;

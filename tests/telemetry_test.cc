@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/scenario/engine.h"
 #include "src/scenario/scenarios.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
@@ -309,18 +310,19 @@ TEST(QueryTracerTest, SpanKindNamesCoverAllStages) {
 // --- End-to-end: scenario run populates metrics and a full trace -------------
 
 TEST(TelemetryEndToEndTest, ScenarioProducesMetricsAndCompleteTrace) {
+  // One 40-QPS benign WC client against the DCC-enabled Table 2 resolver.
+  scenario::ScenarioSpec spec = scenario::MakeResilienceSpec();
+  spec.horizon = Seconds(5);
+  spec.clients.resize(1);
+  spec.clients[0].label = "Benign";
+  spec.clients[0].qps = 40;
+  spec.clients[0].stop = Seconds(5);
   TelemetrySink sink;
-  ResilienceOptions options;
-  options.telemetry = &sink;
-  options.dcc_enabled = true;
-  options.horizon = Seconds(5);
-  ClientSpec benign;
-  benign.label = "Benign";
-  benign.qps = 40;
-  benign.stop = Seconds(5);
-  benign.pattern = QueryPattern::kWc;
-  options.clients = {benign};
-  RunResilienceScenario(options);
+  scenario::EngineHooks hooks;
+  hooks.telemetry = &sink;
+  scenario::ScenarioOutcome outcome;
+  std::string error;
+  ASSERT_TRUE(scenario::RunScenarioSpec(spec, hooks, &outcome, &error)) << error;
 
   const MetricsSnapshot snap = sink.metrics.Snapshot();
   EXPECT_GT(snap.Sum("stub_requests_total"), 0.0);

@@ -8,7 +8,7 @@
 //   dcc_search score  --spec FILE [--objective O]
 //   dcc_search replay --corpus DIR [--check] [--objective O]
 //
-// `search` evaluates the four legacy §5.1 attack scenarios (WC/NX/CQ/FF) as
+// `search` evaluates the four Table 2 §5.1 attack scenarios (WC/NX/CQ/FF) as
 // seeds and baselines, explores mutations of them, and prints the ranked
 // worst cases with a field-level diff against the seed each one grew from.
 // With --out, the best candidate is minimized (greedy revert-toward-parent)
@@ -273,7 +273,7 @@ void PrintUsage(std::FILE* stream) {
       "usage: dcc_search COMMAND [options]\n"
       "\n"
       "commands:\n"
-      "  search   explore mutations of the four legacy attack scenarios\n"
+      "  search   explore mutations of the four Table 2 attack scenarios\n"
       "           (WC/NX/CQ/FF Table 2 mixes vs a DCC-enabled resolver)\n"
       "           and rank the worst cases found\n"
       "  score    run one scenario spec and print its objective breakdown\n"

@@ -1,39 +1,43 @@
-// dcc_sim — command-line front-end for the experiment scenarios.
+// dcc_sim — command-line front-end for declarative scenario specs.
 //
 // Run `dcc_sim --help` for the full flag reference (PrintUsage below is the
 // authoritative list); short form:
 //
-//   dcc_sim resilience [--pattern wc|nx|ff] [--attacker-qps N]
-//                      [--channel-qps N] [--vanilla] [--horizon SECONDS]
-//                      [--fault-plan FILE]
-//   dcc_sim validation [--setup a|b|c|d] [--attacker-qps N]
-//                      [--channel-qps N] [--egresses N]
-//   dcc_sim signaling  [--pattern nx|ff] [--attacker-qps N] [--no-signals]
-//   dcc_sim chaos      [--dcc] [--client-qps N] [--horizon SECONDS]
-//                      [--auths N] [--seed N] [--fault-plan FILE]
-//   dcc_sim probe      [--irl N] [--nx-irl N] [--erl N]
+//   dcc_sim run      --spec FILE [--set PATH=VALUE]... [--fault-plan FILE]
+//                    [output flags]
+//   dcc_sim validate --spec FILE [--set PATH=VALUE]... [--fault-plan FILE]
+//   dcc_sim probe    [--irl N] [--nx-irl N] [--erl N]
 //
-// Every scenario command also takes --log-level, --metrics-out, --trace-out,
-// --trace-format, --sample-interval and --series-out (see PrintUsage).
+// The paper's scenarios are committed specs under examples/scenarios/;
+// `--set` edits any field by its JSON path before the spec is parsed, so
+// every sweep is a spec file plus overrides. A flag a command does not
+// define is an error (exit 2), never silently ignored.
 //
 // Examples:
-//   dcc_sim resilience --pattern ff --attacker-qps 50
-//   dcc_sim resilience --pattern nx --metrics-out m.prom --trace-out t.jsonl
-//   dcc_sim resilience --series-out series.csv --sample-interval 0.5
-//   dcc_sim validation --setup d --egresses 16 --attacker-qps 25
-//   dcc_sim signaling --pattern nx --no-signals
+//   dcc_sim run --spec examples/scenarios/resilience.json --set clients[3].qps=1500
+//   dcc_sim run --spec examples/scenarios/resilience.json --metrics-out m.prom
+//   dcc_sim run --spec examples/scenarios/signaling.json
+//       --set nodes[1].dcc.signaling_enabled=false
+//       --set nodes[2].dcc.signaling_enabled=false
+//   dcc_sim validate --spec examples/scenarios/chaos.json --set run.seed=9
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "src/scenario/outcome_json.h"
-#include "src/scenario/scenarios.h"
 #include "src/common/logging.h"
 #include "src/fault/fault_plan.h"
 #include "src/measure/rate_limit_probe.h"
+#include "src/scenario/engine.h"
+#include "src/scenario/outcome_json.h"
+#include "src/scenario/spec.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/profiler.h"
@@ -46,56 +50,79 @@ namespace {
 using namespace dcc;
 
 // Scenario narration goes here; stays stdout unless a data dump claims
-// stdout via `--trace-out -`, in which case narration moves to stderr so
-// the emitted JSON is parseable on its own.
+// stdout (e.g. `--trace-out -`, or validate's spec), in which case narration
+// moves to stderr so the emitted JSON is parseable on its own.
 std::FILE* g_note = stdout;
 
 #define NOTE(...) std::fprintf(g_note, __VA_ARGS__)
 
-// Minimal flag parsing: --key value / --flag.
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
+// The `--name VALUE` pairs of one command line, in order. Every flag takes
+// a value; a repeated flag keeps each value (--set) and Get reads the last.
+struct Flags {
+  std::vector<std::pair<std::string, std::string>> given;
+
+  const char* Get(const char* name) const {
+    for (auto it = given.rbegin(); it != given.rend(); ++it) {
+      if (it->first == name) {
+        return it->second.c_str();
+      }
     }
+    return nullptr;
   }
-  return nullptr;
-}
 
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return true;
+  std::vector<std::string> All(const char* name) const {
+    std::vector<std::string> values;
+    for (const auto& [flag, value] : given) {
+      if (flag == name) {
+        values.push_back(value);
+      }
     }
+    return values;
   }
-  return false;
+};
+
+// Parses argv[2..] against the command's flag names. An unknown flag, a stray
+// argument or a flag missing its value is reported by name (exit 2): a stale
+// command line must not silently run a different scenario.
+bool ParseFlags(int argc, char** argv, const std::vector<const char*>& known,
+                Flags* flags) {
+  for (int i = 2; i < argc; i += 2) {
+    const bool defined = std::any_of(known.begin(), known.end(), [&](const char* name) {
+      return std::strcmp(argv[i], name) == 0;
+    });
+    if (!defined) {
+      std::fprintf(stderr, "dcc_sim %s: unknown flag '%s' (see dcc_sim --help)\n",
+                   argv[1], argv[i]);
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "dcc_sim %s: flag '%s' needs a value\n", argv[1],
+                   argv[i]);
+      return false;
+    }
+    flags->given.emplace_back(argv[i], argv[i + 1]);
+  }
+  return true;
 }
 
-double FlagDouble(int argc, char** argv, const char* name, double fallback) {
-  const char* value = FlagValue(argc, argv, name);
-  return value != nullptr ? std::atof(value) : fallback;
-}
-
-QueryPattern ParsePattern(const char* text, QueryPattern fallback) {
+// A number flag; the whole value must parse as a finite number.
+double FlagDouble(const Flags& flags, const char* name, double fallback) {
+  const char* text = flags.Get(name);
   if (text == nullptr) {
     return fallback;
   }
-  const std::string pattern = text;
-  if (pattern == "wc") {
-    return QueryPattern::kWc;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(value)) {
+    std::fprintf(stderr, "%s: expected a number, got '%s'\n", name, text);
+    std::exit(2);
   }
-  if (pattern == "nx") {
-    return QueryPattern::kNx;
-  }
-  if (pattern == "ff") {
-    return QueryPattern::kFf;
-  }
-  std::fprintf(stderr, "unknown pattern '%s' (wc|nx|ff)\n", text);
-  std::exit(2);
+  return value;
 }
 
-void ApplyLogLevel(int argc, char** argv) {
-  const char* text = FlagValue(argc, argv, "--log-level");
+void ApplyLogLevel(const Flags& flags) {
+  const char* text = flags.Get("--log-level");
   if (text == nullptr) {
     return;
   }
@@ -116,8 +143,8 @@ void ApplyLogLevel(int argc, char** argv) {
 
 // Loads --fault-plan FILE into `plan` (untouched when the flag is absent);
 // exits with a parse diagnostic on failure.
-void LoadFaultPlanArg(int argc, char** argv, fault::FaultPlan* plan) {
-  const char* path = FlagValue(argc, argv, "--fault-plan");
+void LoadFaultPlanArg(const Flags& flags, fault::FaultPlan* plan) {
+  const char* path = flags.Get("--fault-plan");
   if (path == nullptr) {
     return;
   }
@@ -132,9 +159,9 @@ void LoadFaultPlanArg(int argc, char** argv, fault::FaultPlan* plan) {
 
 // Builds the telemetry sink when --metrics-out / --trace-out is given; the
 // scenario wires every host into it.
-std::unique_ptr<telemetry::TelemetrySink> MakeSink(int argc, char** argv) {
-  if (FlagValue(argc, argv, "--metrics-out") == nullptr &&
-      FlagValue(argc, argv, "--trace-out") == nullptr) {
+std::unique_ptr<telemetry::TelemetrySink> MakeSink(const Flags& flags) {
+  if (flags.Get("--metrics-out") == nullptr &&
+      flags.Get("--trace-out") == nullptr) {
     return nullptr;
   }
   return std::make_unique<telemetry::TelemetrySink>();
@@ -142,14 +169,14 @@ std::unique_ptr<telemetry::TelemetrySink> MakeSink(int argc, char** argv) {
 
 // Builds the time-series scoreboard when --series-out is given. The scenario
 // runner ticks it on its interval and wires in the introspection seam.
-std::unique_ptr<telemetry::TimeSeriesSampler> MakeSampler(int argc, char** argv) {
-  if (FlagValue(argc, argv, "--series-out") == nullptr) {
-    if (FlagValue(argc, argv, "--sample-interval") != nullptr) {
+std::unique_ptr<telemetry::TimeSeriesSampler> MakeSampler(const Flags& flags) {
+  if (flags.Get("--series-out") == nullptr) {
+    if (flags.Get("--sample-interval") != nullptr) {
       std::fprintf(stderr, "--sample-interval has no effect without --series-out\n");
     }
     return nullptr;
   }
-  const double interval = FlagDouble(argc, argv, "--sample-interval", 1.0);
+  const double interval = FlagDouble(flags, "--sample-interval", 1.0);
   if (interval <= 0) {
     std::fprintf(stderr, "--sample-interval must be > 0 (got %g)\n", interval);
     std::exit(2);
@@ -157,11 +184,11 @@ std::unique_ptr<telemetry::TimeSeriesSampler> MakeSampler(int argc, char** argv)
   return std::make_unique<telemetry::TimeSeriesSampler>(SecondsF(interval));
 }
 
-int DumpSeries(int argc, char** argv, const telemetry::TimeSeriesSampler* sampler) {
+int DumpSeries(const Flags& flags, const telemetry::TimeSeriesSampler* sampler) {
   if (sampler == nullptr) {
     return 0;
   }
-  const char* path = FlagValue(argc, argv, "--series-out");
+  const char* path = flags.Get("--series-out");
   if (!telemetry::WriteSeriesFile(*sampler, path)) {
     std::fprintf(stderr, "cannot write series to %s\n", path);
     return 1;
@@ -187,11 +214,11 @@ bool EndsWith(const std::string& text, const std::string& suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-int DumpTelemetry(int argc, char** argv, const telemetry::TelemetrySink* sink) {
+int DumpTelemetry(const Flags& flags, const telemetry::TelemetrySink* sink) {
   if (sink == nullptr) {
     return 0;
   }
-  if (const char* path = FlagValue(argc, argv, "--metrics-out"); path != nullptr) {
+  if (const char* path = flags.Get("--metrics-out"); path != nullptr) {
     const std::string out = EndsWith(path, ".jsonl") ? sink->metrics.ExportJsonLines()
                                                      : sink->metrics.ExportPrometheus();
     if (!WriteFile(path, out)) {
@@ -200,8 +227,8 @@ int DumpTelemetry(int argc, char** argv, const telemetry::TelemetrySink* sink) {
     NOTE("metrics: %zu instruments -> %s\n", sink->metrics.InstrumentCount(),
                 path);
   }
-  if (const char* path = FlagValue(argc, argv, "--trace-out"); path != nullptr) {
-    const char* format = FlagValue(argc, argv, "--trace-format");
+  if (const char* path = flags.Get("--trace-out"); path != nullptr) {
+    const char* format = flags.Get("--trace-format");
     std::string out;
     if (format == nullptr || std::strcmp(format, "jsonl") == 0) {
       out = sink->trace.ExportJsonLines();
@@ -225,71 +252,44 @@ int DumpTelemetry(int argc, char** argv, const telemetry::TelemetrySink* sink) {
   return 0;
 }
 
-// Writes the materialized form of `spec` to `path` ('-' for stdout) — the
-// --dump-spec / --dump-effective implementation. Materializing first bakes
-// the derived fields (client seeds and stops, jitter seed, FF instance
-// counts) into the JSON, so the dump is a complete reproduction recipe.
-int DumpSpec(scenario::ScenarioSpec spec, const char* path) {
-  std::string error;
-  if (!scenario::ValidateScenarioSpec(&spec, &error)) {
-    std::fprintf(stderr, "spec does not validate: %s\n", error.c_str());
-    return 2;
-  }
-  const std::string out = scenario::WriteScenarioSpec(spec);
-  if (std::strcmp(path, "-") == 0) {
-    std::fwrite(out.data(), 1, out.size(), stdout);
-    return 0;
-  }
-  if (!WriteFile(path, out)) {
-    return 1;
-  }
-  NOTE("spec: scenario '%s' -> %s\n", spec.name.c_str(), path);
-  return 0;
-}
-
-// Dispatches --dump-spec for the legacy scenario commands: when present, the
-// compiled spec is written instead of running the simulation.
-const char* DumpSpecPath(int argc, char** argv) {
-  return FlagValue(argc, argv, "--dump-spec");
-}
-
-int RunSpec(int argc, char** argv) {
-  const char* path = FlagValue(argc, argv, "--spec");
+// Loads --spec with every --set applied in order, then --fault-plan. Fields
+// the spec pins explicitly keep their values when an override changes what
+// they were derived from (e.g. a materialized dump's per-client seeds under
+// --set run.seed=N).
+bool LoadSpec(const Flags& flags, const char* command, scenario::ScenarioSpec* spec) {
+  const char* path = flags.Get("--spec");
   if (path == nullptr) {
-    std::fprintf(stderr, "run requires --spec FILE ('-' for stdin)\n");
-    return 2;
+    std::fprintf(stderr, "%s requires --spec FILE ('-' for stdin)\n", command);
+    return false;
   }
-  scenario::ScenarioSpec spec;
   std::string error;
-  if (!scenario::LoadScenarioSpecFile(path, &spec, &error)) {
+  if (!scenario::LoadScenarioSpecFile(path, spec, &error, flags.All("--set"))) {
     std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
+  }
+  LoadFaultPlanArg(flags, &spec->faults.plan);
+  return true;
+}
+
+int RunSpec(const Flags& flags) {
+  scenario::ScenarioSpec spec;
+  if (!LoadSpec(flags, "run", &spec)) {
     return 2;
   }
-  // Overrides. --seed replaces the run seed; fields the spec pins explicitly
-  // (e.g. materialized per-client seeds) keep their pinned values.
-  if (const char* text = FlagValue(argc, argv, "--horizon"); text != nullptr) {
-    spec.horizon = SecondsF(std::atof(text));
-  }
-  if (const char* text = FlagValue(argc, argv, "--seed"); text != nullptr) {
-    spec.seed = std::strtoull(text, nullptr, 10);
-  }
-  LoadFaultPlanArg(argc, argv, &spec.faults.plan);
-  if (HasFlag(argc, argv, "--dump-effective")) {
-    return DumpSpec(spec, "-");
-  }
-
-  auto sink = MakeSink(argc, argv);
-  auto sampler = MakeSampler(argc, argv);
+  const char* path = flags.Get("--spec");
+  std::string error;
+  auto sink = MakeSink(flags);
+  auto sampler = MakeSampler(flags);
   scenario::EngineHooks hooks;
   hooks.telemetry = sink.get();
   hooks.sampler = sampler.get();
-  const char* audit_out = FlagValue(argc, argv, "--audit-out");
+  const char* audit_out = flags.Get("--audit-out");
   std::unique_ptr<telemetry::DecisionAuditLog> audit;
   if (audit_out != nullptr) {
     audit = std::make_unique<telemetry::DecisionAuditLog>();
     hooks.audit = audit.get();
   }
-  const char* profile_out = FlagValue(argc, argv, "--profile-out");
+  const char* profile_out = flags.Get("--profile-out");
   if (profile_out != nullptr) {
     prof::Reset();
     prof::Enable();
@@ -384,7 +384,7 @@ int RunSpec(int argc, char** argv) {
   }
   NOTE("events executed: %llu\n",
        static_cast<unsigned long long>(outcome.events_executed));
-  if (const char* out = FlagValue(argc, argv, "--summary-out"); out != nullptr) {
+  if (const char* out = flags.Get("--summary-out"); out != nullptr) {
     const std::string summary = scenario::WriteScenarioOutcome(outcome);
     if (std::strcmp(out, "-") == 0) {
       std::fwrite(summary.data(), 1, summary.size(), stdout);
@@ -395,27 +395,24 @@ int RunSpec(int argc, char** argv) {
       NOTE("summary: full outcome -> %s\n", out);
     }
   }
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
+  if (const int rc = DumpSeries(flags, sampler.get()); rc != 0) {
     return rc;
   }
-  return DumpTelemetry(argc, argv, sink.get());
+  return DumpTelemetry(flags, sink.get());
 }
 
-// `dcc_sim validate --spec FILE`: lint + materialize without running. The
-// effective (derived fields baked in) spec goes to stdout; diagnostics and
-// the one-line verdict go to stderr so the JSON stays parseable on its own.
-int ValidateSpec(int argc, char** argv) {
-  const char* path = FlagValue(argc, argv, "--spec");
-  if (path == nullptr) {
-    std::fprintf(stderr, "validate requires --spec FILE ('-' for stdin)\n");
-    return 2;
-  }
+// `dcc_sim validate --spec FILE [--set ...]`: lint + materialize without
+// running. The effective spec (overrides applied, derived fields baked in)
+// goes to stdout, a complete reproduction recipe; diagnostics and the
+// one-line verdict go to stderr so the JSON stays parseable on its own.
+int ValidateSpec(const Flags& flags) {
+  g_note = stderr;  // stdout carries the spec.
   scenario::ScenarioSpec spec;
-  std::string error;
-  if (!scenario::LoadScenarioSpecFile(path, &spec, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path, error.c_str());
+  if (!LoadSpec(flags, "validate", &spec)) {
     return 2;
   }
+  const char* path = flags.Get("--spec");
+  std::string error;
   if (!scenario::ValidateScenarioSpec(&spec, &error)) {
     std::fprintf(stderr, "%s: invalid: %s\n", path, error.c_str());
     return 2;
@@ -431,184 +428,12 @@ int ValidateSpec(int argc, char** argv) {
   return 0;
 }
 
-void PrintClients(const ScenarioResult& result) {
-  NOTE("%-10s %10s %10s %12s\n", "client", "sent", "answered", "ratio");
-  for (const auto& client : result.clients) {
-    NOTE("%-10s %10llu %10llu %12.2f\n", client.label.c_str(),
-                static_cast<unsigned long long>(client.sent),
-                static_cast<unsigned long long>(client.succeeded),
-                client.success_ratio);
-  }
-}
-
-int RunResilience(int argc, char** argv) {
-  ResilienceOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  options.dcc_enabled = !HasFlag(argc, argv, "--vanilla");
-  options.channel_qps = FlagDouble(argc, argv, "--channel-qps", 1000);
-  const QueryPattern pattern =
-      ParsePattern(FlagValue(argc, argv, "--pattern"), QueryPattern::kWc);
-  const double default_qps = pattern == QueryPattern::kFf ? 50 : 1100;
-  options.clients =
-      Table2Clients(pattern, FlagDouble(argc, argv, "--attacker-qps", default_qps));
-  options.horizon = SecondsF(FlagDouble(argc, argv, "--horizon", 60));
-  for (auto& client : options.clients) {
-    client.stop = std::min(client.stop, options.horizon);
-  }
-  LoadFaultPlanArg(argc, argv, &options.fault_plan);
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileResilienceSpec(options), path);
-  }
-  NOTE("resilience: %s resolver, channel %.0f QPS, horizon %s\n",
-              options.dcc_enabled ? "DCC-enabled" : "vanilla", options.channel_qps,
-              FormatDuration(options.horizon).c_str());
-  const ScenarioResult result = RunResilienceScenario(options);
-  PrintClients(result);
-  if (options.dcc_enabled) {
-    NOTE("dcc: convictions=%llu policed=%llu servfails=%llu signals=%llu\n",
-                static_cast<unsigned long long>(result.dcc_convictions),
-                static_cast<unsigned long long>(result.dcc_policed_drops),
-                static_cast<unsigned long long>(result.dcc_servfails),
-                static_cast<unsigned long long>(result.dcc_signals_attached));
-  }
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunValidation(int argc, char** argv) {
-  ValidationOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  const char* setup = FlagValue(argc, argv, "--setup");
-  const char setup_id = setup != nullptr ? setup[0] : 'a';
-  switch (setup_id) {
-    case 'a':
-      options.setup = ValidationSetup::kRedundantAuth;
-      break;
-    case 'b':
-      options.setup = ValidationSetup::kRedundantResolver;
-      break;
-    case 'c':
-      options.setup = ValidationSetup::kForwarder;
-      break;
-    case 'd':
-      options.setup = ValidationSetup::kLargeResolver;
-      break;
-    default:
-      std::fprintf(stderr, "unknown setup '%s' (a|b|c|d)\n", setup);
-      return 2;
-  }
-  options.attacker_qps = FlagDouble(argc, argv, "--attacker-qps",
-                                    options.setup == ValidationSetup::kForwarder
-                                        ? 100
-                                        : 5);
-  options.channel_qps = FlagDouble(argc, argv, "--channel-qps", 100);
-  options.egress_count =
-      static_cast<int>(FlagDouble(argc, argv, "--egresses", 4));
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileValidationSpec(options), path);
-  }
-  NOTE("validation setup (%c): attacker %.0f QPS, channel %.0f QPS\n",
-              setup_id, options.attacker_qps, options.channel_qps);
-  const ValidationResult result = RunValidationScenario(options);
-  NOTE("benign success ratio:   %.2f\n", result.benign_success_ratio);
-  NOTE("attacker success ratio: %.2f\n", result.attacker_success_ratio);
-  NOTE("victim ANS peak load:   %.0f QPS\n", result.ans_peak_qps);
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunSignaling(int argc, char** argv) {
-  SignalingOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  options.signaling_enabled = !HasFlag(argc, argv, "--no-signals");
-  options.attacker_pattern =
-      ParsePattern(FlagValue(argc, argv, "--pattern"), QueryPattern::kNx);
-  options.attacker_qps =
-      FlagDouble(argc, argv, "--attacker-qps",
-                 options.attacker_pattern == QueryPattern::kFf ? 20 : 200);
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileSignalingSpec(options), path);
-  }
-  NOTE("signaling %s, attacker %.0f QPS\n",
-              options.signaling_enabled ? "ON" : "OFF", options.attacker_qps);
-  const ScenarioResult result = RunSignalingScenario(options);
-  PrintClients(result);
-  NOTE("dcc: convictions=%llu policed=%llu signals=%llu\n",
-              static_cast<unsigned long long>(result.dcc_convictions),
-              static_cast<unsigned long long>(result.dcc_policed_drops),
-              static_cast<unsigned long long>(result.dcc_signals_attached));
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunChaos(int argc, char** argv) {
-  ChaosOptions options;
-  auto sink = MakeSink(argc, argv);
-  options.telemetry = sink.get();
-  auto sampler = MakeSampler(argc, argv);
-  options.sampler = sampler.get();
-  options.dcc_enabled = HasFlag(argc, argv, "--dcc");
-  options.client_qps = FlagDouble(argc, argv, "--client-qps", options.client_qps);
-  options.horizon = SecondsF(FlagDouble(argc, argv, "--horizon", 40));
-  options.auth_count =
-      static_cast<int>(FlagDouble(argc, argv, "--auths", options.auth_count));
-  options.seed = static_cast<uint64_t>(FlagDouble(argc, argv, "--seed", 1));
-  LoadFaultPlanArg(argc, argv, &options.fault_plan);
-  if (const char* path = DumpSpecPath(argc, argv); path != nullptr) {
-    return DumpSpec(CompileChaosSpec(options), path);
-  }
-  NOTE("chaos: %s resolver, %d auths, client %.0f QPS, horizon %s, %s\n",
-              options.dcc_enabled ? "DCC-enabled" : "vanilla", options.auth_count,
-              options.client_qps, FormatDuration(options.horizon).c_str(),
-              options.fault_plan.empty() ? "default all-auth blackout"
-                                         : "user fault plan");
-  const ChaosResult result = RunChaosScenario(options);
-  NOTE("client: sent=%llu answered=%llu ratio=%.2f\n",
-              static_cast<unsigned long long>(result.client.sent),
-              static_cast<unsigned long long>(result.client.succeeded),
-              result.client.success_ratio);
-  NOTE("faults: activations=%llu upstream_timeouts=%llu holddowns=%llu "
-              "stale_served=%llu\n",
-              static_cast<unsigned long long>(result.fault_activations),
-              static_cast<unsigned long long>(result.upstream_timeouts),
-              static_cast<unsigned long long>(result.holddowns),
-              static_cast<unsigned long long>(result.stale_served));
-  NOTE("%4s %14s %10s %12s\n", "sec", "upstream-qps", "stale-qps",
-              "client-qps");
-  for (size_t s = 0; s < result.upstream_send_qps.size(); ++s) {
-    NOTE("%4zu %14.0f %10.0f %12.1f\n", s, result.upstream_send_qps[s],
-                result.stale_qps[s],
-                s < result.client.effective_qps.size()
-                    ? result.client.effective_qps[s]
-                    : 0.0);
-  }
-  if (const int rc = DumpSeries(argc, argv, sampler.get()); rc != 0) {
-    return rc;
-  }
-  return DumpTelemetry(argc, argv, sink.get());
-}
-
-int RunProbe(int argc, char** argv) {
+int RunProbe(const Flags& flags) {
   ResolverProfile profile;
   profile.name = "cli";
-  profile.irl_noerror_qps = FlagDouble(argc, argv, "--irl", 300);
-  profile.irl_nxdomain_qps = FlagDouble(argc, argv, "--nx-irl", profile.irl_noerror_qps);
-  profile.egress_qps = FlagDouble(argc, argv, "--erl", 0);
+  profile.irl_noerror_qps = FlagDouble(flags, "--irl", 300);
+  profile.irl_nxdomain_qps = FlagDouble(flags, "--nx-irl", profile.irl_noerror_qps);
+  profile.egress_qps = FlagDouble(flags, "--erl", 0);
   ProbeConfig config;
   config.step_duration = Seconds(2);
   NOTE("probing synthetic resolver (true IRL %.0f / NX %.0f / ERL %s)\n",
@@ -639,27 +464,25 @@ void PrintUsage(std::FILE* stream) {
       "               examples/scenarios/ and DESIGN.md for the schema)\n"
       "  validate     lint + materialize a scenario spec and print its\n"
       "               effective form without running it\n"
-      "  resilience   Table 2 / Fig. 8 attack-resilience run: attacker +\n"
-      "               benign client mix against one resolver\n"
-      "  validation   Fig. 4 congestion-validation topologies (setups a-d)\n"
-      "  signaling    Fig. 9 resolution-path signaling chain\n"
-      "               (stub -> forwarder -> resolver -> ANS)\n"
-      "  chaos        graceful-degradation run: a fault plan (default: all\n"
-      "               authoritatives black out from 10 s to 25 s) against a\n"
-      "               serve-stale resolver; see examples/fault_plans/\n"
       "  probe        measure a synthetic resolver's rate limits with the\n"
       "               Appendix A methodology and report the estimates\n"
       "\n"
-      "run options:\n"
-      "  --spec FILE          scenario spec to execute ('-' for stdin);\n"
-      "                       required\n"
-      "  --horizon SECONDS    override the spec's run horizon\n"
-      "  --seed N             override the run seed (fields the spec pins\n"
-      "                       explicitly, e.g. per-client seeds in a\n"
-      "                       materialized dump, keep their pinned values)\n"
+      "run and validate options:\n"
+      "  --spec FILE          scenario spec ('-' for stdin); required\n"
+      "  --set PATH=VALUE     override one spec field before parsing;\n"
+      "                       repeatable, applied in order. PATH is the JSON\n"
+      "                       path the diagnostics print (run.horizon,\n"
+      "                       run.seed, clients[3].qps, nodes[2].dcc.\n"
+      "                       signaling_enabled); VALUE is JSON or a plain\n"
+      "                       string (clients[3].pattern=nx), and null\n"
+      "                       removes the key. Overridden documents go\n"
+      "                       through the same parse and validation as the\n"
+      "                       file itself\n"
       "  --fault-plan FILE    replace the spec's fault plan\n"
-      "  --dump-effective     print the materialized spec (derived fields\n"
-      "                       baked in) to stdout instead of running\n"
+      "  validate exits 0 with the materialized spec on stdout, or 2 with\n"
+      "  the diagnostic\n"
+      "\n"
+      "run output options:\n"
       "  --summary-out FILE   write the full ScenarioOutcome as JSON ('-'\n"
       "                       for stdout): per-client totals/series, ANS\n"
       "                       peaks, resolver degradation, DCC counters and\n"
@@ -676,54 +499,6 @@ void PrintUsage(std::FILE* stream) {
       "                       tools/dcc_why). Adds an `audit` block to\n"
       "                       --summary-out. Like profiling, auditing never\n"
       "                       perturbs the simulation\n"
-      "\n"
-      "validate options:\n"
-      "  --spec FILE          scenario spec to check ('-' for stdin);\n"
-      "                       required. Exit 0 prints the materialized spec\n"
-      "                       on stdout; exit 2 prints the diagnostic\n"
-      "\n"
-      "resilience options:\n"
-      "  --pattern wc|nx|ff   attack query pattern (default wc)\n"
-      "  --attacker-qps N     attacker rate (default 1100; 50 for ff)\n"
-      "  --channel-qps N      victim channel capacity (default 1000)\n"
-      "  --vanilla            disable DCC (default: DCC enabled)\n"
-      "  --horizon SECONDS    run length (default 60)\n"
-      "  --fault-plan FILE    inject a fault timeline (default: none)\n"
-      "\n"
-      "validation options:\n"
-      "  --setup a|b|c|d      topology: a=redundant auth, b=redundant\n"
-      "                       resolver, c=forwarder, d=large resolver\n"
-      "                       (default a)\n"
-      "  --attacker-qps N     per-attacker rate (default 5; 100 for setup c)\n"
-      "  --channel-qps N      victim channel capacity (default 100)\n"
-      "  --egresses N         egress IPs for setup d (default 4)\n"
-      "\n"
-      "signaling options:\n"
-      "  --pattern nx|ff      attack pattern (default nx)\n"
-      "  --attacker-qps N     attacker rate (default 200; 20 for ff)\n"
-      "  --no-signals         disable congestion signals (default: on)\n"
-      "\n"
-      "chaos options:\n"
-      "  --dcc                enable DCC (default: vanilla resolver)\n"
-      "  --client-qps N       benign client rate (default 40)\n"
-      "  --horizon SECONDS    run length (default 40)\n"
-      "  --auths N            authoritative server count (default 2)\n"
-      "  --seed N             workload RNG seed (default 1)\n"
-      "  --fault-plan FILE    fault timeline (default: built-in blackout)\n"
-      "\n"
-      "probe options:\n"
-      "  --irl N              true NOERROR ingress limit, QPS (default 300)\n"
-      "  --nx-irl N           true NXDOMAIN ingress limit (default: --irl)\n"
-      "  --erl N              true egress limit, QPS (default 0 = none)\n"
-      "\n"
-      "options for every scenario command (all but probe):\n"
-      "  --dump-spec FILE     compile the command line into a declarative\n"
-      "                       scenario spec, write it to FILE ('-' for\n"
-      "                       stdout) and exit without running; the dump\n"
-      "                       replays the run via `dcc_sim run --spec`\n"
-      "  --log-level debug|info|warn|error\n"
-      "                       logging threshold (default warn); log lines are\n"
-      "                       prefixed with the simulated clock\n"
       "  --metrics-out FILE   dump the metrics registry to FILE in Prometheus\n"
       "                       text format (.jsonl suffix: JSON lines)\n"
       "  --trace-out FILE     dump the query-lifecycle trace to FILE ('-' for\n"
@@ -738,72 +513,81 @@ void PrintUsage(std::FILE* stream) {
       "  --sample-interval S  sampling period in virtual seconds for\n"
       "                       --series-out (default 1.0)\n"
       "\n"
+      "probe options:\n"
+      "  --irl N              true NOERROR ingress limit, QPS (default 300)\n"
+      "  --nx-irl N           true NXDOMAIN ingress limit (default: --irl)\n"
+      "  --erl N              true egress limit, QPS (default 0 = none)\n"
+      "\n"
+      "every command:\n"
+      "  --log-level debug|info|warn|error\n"
+      "                       logging threshold (default warn); log lines are\n"
+      "                       prefixed with the simulated clock\n"
+      "\n"
+      "A flag the command does not define is an error (exit 2).\n"
+      "\n"
       "examples:\n"
-      "  dcc_sim resilience --pattern ff --attacker-qps 50\n"
-      "  dcc_sim resilience --series-out series.csv --sample-interval 0.5\n"
-      "  dcc_sim resilience --pattern ff --trace-out - --trace-format chrome\n"
-      "  dcc_sim validation --setup d --egresses 16 --attacker-qps 25\n"
-      "  dcc_sim chaos --dcc --fault-plan examples/fault_plans/flap.plan\n"
       "  dcc_sim run --spec examples/scenarios/resilience.json\n"
-      "  dcc_sim resilience --pattern ff --dump-spec ff.json\n");
+      "  dcc_sim run --spec examples/scenarios/resilience.json \\\n"
+      "      --set run.horizon=30 --series-out series.csv --sample-interval 0.5\n"
+      "  dcc_sim run --spec examples/scenarios/ff_forensics.json \\\n"
+      "      --trace-out - --trace-format chrome\n"
+      "  dcc_sim run --spec examples/scenarios/validation.json \\\n"
+      "      --set clients[0].qps=8\n"
+      "  dcc_sim run --spec examples/scenarios/chaos.json \\\n"
+      "      --fault-plan examples/fault_plans/blackout.plan\n"
+      "  dcc_sim validate --spec examples/scenarios/chaos.json --set run.seed=9\n");
 }
+
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<const char*> flags;
+};
+
+const Command kCommands[] = {
+    {"run", RunSpec,
+     {"--spec", "--set", "--fault-plan", "--summary-out", "--profile-out",
+      "--audit-out", "--metrics-out", "--trace-out", "--trace-format",
+      "--series-out", "--sample-interval", "--log-level"}},
+    {"validate", ValidateSpec, {"--spec", "--set", "--fault-plan", "--log-level"}},
+    {"probe", RunProbe, {"--irl", "--nx-irl", "--erl", "--log-level"}},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                    std::strcmp(argv[1], "-h") == 0 ||
-                    std::strcmp(argv[1], "help") == 0)) {
-    PrintUsage(stdout);
-    return 0;
-  }
   if (argc < 2) {
     PrintUsage(stderr);
     return 2;
   }
-  if (HasFlag(argc, argv, "--help") || HasFlag(argc, argv, "-h")) {
-    PrintUsage(stdout);
-    return 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0 ||
+        (i == 1 && std::strcmp(argv[i], "help") == 0)) {
+      PrintUsage(stdout);
+      return 0;
+    }
   }
-  const std::string command = argv[1];
-  if (const char* trace_out = FlagValue(argc, argv, "--trace-out");
-      trace_out != nullptr && std::strcmp(trace_out, "-") == 0) {
-    g_note = stderr;
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (std::strcmp(argv[1], candidate.name) == 0) {
+      command = &candidate;
+    }
   }
-  if (const char* summary_out = FlagValue(argc, argv, "--summary-out");
-      summary_out != nullptr && std::strcmp(summary_out, "-") == 0) {
-    g_note = stderr;
+  if (command == nullptr) {
+    std::fprintf(stderr, "unknown command '%s' (run|validate|probe)\n", argv[1]);
+    return 2;
   }
-  if (const char* profile_out = FlagValue(argc, argv, "--profile-out");
-      profile_out != nullptr && std::strcmp(profile_out, "-") == 0) {
-    g_note = stderr;
+  Flags flags;
+  if (!ParseFlags(argc, argv, command->flags, &flags)) {
+    return 2;
   }
-  if (const char* audit_out = FlagValue(argc, argv, "--audit-out");
-      audit_out != nullptr && std::strcmp(audit_out, "-") == 0) {
-    g_note = stderr;
+  // A data dump on stdout moves the narration to stderr, so the dump is
+  // parseable on its own.
+  for (const char* dump : {"--trace-out", "--summary-out", "--profile-out", "--audit-out"}) {
+    if (const char* out = flags.Get(dump); out != nullptr && std::strcmp(out, "-") == 0) {
+      g_note = stderr;
+    }
   }
-  ApplyLogLevel(argc, argv);
-  if (command == "run") {
-    return RunSpec(argc, argv);
-  }
-  if (command == "validate") {
-    return ValidateSpec(argc, argv);
-  }
-  if (command == "resilience") {
-    return RunResilience(argc, argv);
-  }
-  if (command == "validation") {
-    return RunValidation(argc, argv);
-  }
-  if (command == "signaling") {
-    return RunSignaling(argc, argv);
-  }
-  if (command == "chaos") {
-    return RunChaos(argc, argv);
-  }
-  if (command == "probe") {
-    return RunProbe(argc, argv);
-  }
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 2;
+  ApplyLogLevel(flags);
+  return command->run(flags);
 }
