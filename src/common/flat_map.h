@@ -112,11 +112,21 @@ class FlatMap {
 
   // --- lookup ---------------------------------------------------------------
 
-  iterator find(const Key& key) { return iterator(this, FindIndex(key)); }
-  const_iterator find(const Key& key) const {
+  // Lookups take any `K` that Hash and Eq accept alongside Key, so a map
+  // with a transparent Eq can be probed without building a Key (string
+  // keys by std::string_view). Hash must agree on equal K and Key values.
+  template <class K = Key>
+  iterator find(const K& key) {
+    return iterator(this, FindIndex(key));
+  }
+  template <class K = Key>
+  const_iterator find(const K& key) const {
     return const_iterator(this, FindIndex(key));
   }
-  bool contains(const Key& key) const { return FindIndex(key) < dist_.size(); }
+  template <class K = Key>
+  bool contains(const K& key) const {
+    return FindIndex(key) < dist_.size();
+  }
   size_t count(const Key& key) const { return contains(key) ? 1 : 0; }
 
   // Precondition: `key` is present (asserted; no exception fallback).
@@ -205,13 +215,15 @@ class FlatMap {
     return h ^ (h >> 31);
   }
 
-  size_t HomeSlot(const Key& key) const {
+  template <class K>
+  size_t HomeSlot(const K& key) const {
     return static_cast<size_t>(Mix(static_cast<uint64_t>(Hash{}(key)))) &
            (dist_.size() - 1);
   }
 
   // Index of `key`, or dist_.size() when absent (== end()).
-  size_t FindIndex(const Key& key) const {
+  template <class K>
+  size_t FindIndex(const K& key) const {
     if (size_ == 0) {
       return dist_.size();
     }

@@ -13,6 +13,7 @@ namespace {
 constexpr uint16_t kCompressionMask = 0xc000;
 constexpr size_t kMaxCompressionJumps = 64;
 constexpr size_t kMaxLabelLength = 63;
+constexpr size_t kMaxNameWireLength = 255;  // RFC 1035 §2.3.4.
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -204,6 +205,7 @@ class Reader {
     size_t jumps = 0;
     bool jumped = false;
     size_t after_first_pointer = 0;
+    size_t wire_length = 1;  // The terminating root label.
     while (true) {
       if (pos >= wire_.size()) {
         return false;
@@ -232,7 +234,9 @@ class Reader {
         pos += 1;
         break;
       }
-      if (len > kMaxLabelLength || pos + 1 + len > wire_.size()) {
+      wire_length += 1 + static_cast<size_t>(len);
+      if (len > kMaxLabelLength || pos + 1 + len > wire_.size() ||
+          wire_length > kMaxNameWireLength) {
         return false;
       }
       labels.emplace_back(reinterpret_cast<const char*>(&wire_[pos + 1]), len);

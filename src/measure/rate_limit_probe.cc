@@ -1,10 +1,12 @@
 #include "src/measure/rate_limit_probe.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/attack/patterns.h"
 #include "src/attack/testbed.h"
 #include "src/common/rng.h"
+#include "src/telemetry/profiler.h"
 #include "src/telemetry/sampler.h"
 #include "src/zone/experiment_zones.h"
 
@@ -60,6 +62,14 @@ double StableQps(const std::vector<double>& per_second) {
 // `duration` (Appendix A probes sequentially with fresh state between runs).
 ProbeRun RunStep(const ResolverProfile& profile, ProbePattern pattern,
                  double offered_qps, Duration duration, uint64_t seed) {
+  // The step's phases are the scenario engine's in all but name, so they
+  // are timed under its sites: building the testbed (zones, servers, stub),
+  // then reading results and tearing the testbed down (`bed` is destroyed
+  // before the scope that outlives it).
+  static prof::Site kBuildSite("scenario.build");
+  static prof::Site kCollectSite("scenario.collect");
+  std::optional<prof::ScopedSite> phase_scope;
+  phase_scope.emplace(kBuildSite);
   Testbed bed;
   const Name target = *Name::Parse(kTargetApex);
   const Name attacker_zone = *Name::Parse(kAttackerApex);
@@ -129,8 +139,10 @@ ProbeRun RunStep(const ResolverProfile& profile, ProbePattern pattern,
   StubClient& probe = bed.AddStub(probe_addr, stub_config, std::move(generator));
   probe.AddResolver(resolver_addr);
   probe.Start();
+  phase_scope.reset();
 
   bed.RunFor(duration + Seconds(2));
+  phase_scope.emplace(kCollectSite);
 
   ProbeRun run;
   run.achieved_client_qps =

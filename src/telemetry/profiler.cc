@@ -39,9 +39,16 @@ SiteRegistry& Registry() {
   return *registry;
 }
 
+// Sites with the same name share one id, so every report has one row per
+// name however many call sites use it.
 uint32_t RegisterSite(const char* name) {
   SiteRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
+  for (uint32_t id = 0; id < registry.names.size(); ++id) {
+    if (std::strcmp(registry.names[id], name) == 0) {
+      return id;
+    }
+  }
   registry.names.push_back(name);
   return static_cast<uint32_t>(registry.names.size() - 1);
 }

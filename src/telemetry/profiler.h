@@ -63,7 +63,8 @@ namespace prof {
 
 // A named profiling site. Register statically via DCC_PROF_SCOPE (one
 // function-local static per call site) or dynamically via InternSite (event
-// categories, bench roots). Sites are never freed; ids are dense indices.
+// categories, bench roots). Sites are never freed; ids are dense indices,
+// one per distinct name: call sites sharing a name share its id.
 class Site {
  public:
   explicit Site(const char* name);

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "src/telemetry/profiler.h"
+
 namespace dcc {
 namespace {
 
@@ -41,6 +43,7 @@ Name CqChainHead(const Name& apex, int instance, int chain_index, int labels) {
 
 Zone MakeTargetZone(const Name& apex, HostAddress self_addr,
                     const TargetZoneOptions& options) {
+  DCC_PROF_SCOPE("zone.build");
   Zone zone(apex, DefaultSoa(apex, options.ttl), options.ttl);
   const Name ans_name = *apex.Prepend("ans");
   zone.AddNs(apex, ans_name);
@@ -70,6 +73,7 @@ Zone MakeTargetZone(const Name& apex, HostAddress self_addr,
 
 Zone MakeAttackerZone(const Name& apex, const Name& target_apex,
                       const AttackerZoneOptions& options) {
+  DCC_PROF_SCOPE("zone.build");
   Zone zone(apex, DefaultSoa(apex, options.ttl), options.ttl);
   const Name ans_name = *apex.Prepend("ans");
   zone.AddNs(apex, ans_name);

@@ -86,6 +86,25 @@ Message RandomMessage(Rng& rng) {
   return msg;
 }
 
+// RFC 1035 §2.3.4: no decoded name, wherever it sits, exceeds 255 octets.
+void ExpectNamesWithinLimit(const Message& msg) {
+  auto check = [](const Name& name) { EXPECT_LE(name.WireLength(), 255u); };
+  for (const Question& q : msg.question) {
+    check(q.qname);
+  }
+  for (const auto* section : {&msg.answers, &msg.authority, &msg.additional}) {
+    for (const ResourceRecord& rr : *section) {
+      check(rr.name);
+      if (const Name* target = std::get_if<Name>(&rr.rdata)) {
+        check(*target);
+      } else if (const SoaData* soa = std::get_if<SoaData>(&rr.rdata)) {
+        check(soa->mname);
+        check(soa->rname);
+      }
+    }
+  }
+}
+
 TEST(CodecFuzzTest, RandomMessagesRoundTrip) {
   Rng rng(20240601);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -115,6 +134,7 @@ TEST(CodecFuzzTest, MutatedWireNeverCrashes) {
     const auto decoded = DecodeMessage(wire);  // Must not crash or hang.
     decoded_ok += decoded.has_value() ? 1 : 0;
     if (decoded.has_value()) {
+      ExpectNamesWithinLimit(*decoded);
       // Whatever decoded must re-encode without crashing.
       const auto reencoded = EncodeMessage(*decoded);
       EXPECT_FALSE(reencoded.empty());
@@ -133,9 +153,35 @@ TEST(CodecFuzzTest, PureGarbageNeverCrashes) {
     }
     const auto decoded = DecodeMessage(garbage);
     if (decoded.has_value()) {
+      ExpectNamesWithinLimit(*decoded);
       EncodeMessage(*decoded);
     }
   }
+}
+
+TEST(CodecFuzzTest, OverlongNamesNeverDecode) {
+  // Names built label by label may exceed 255 octets on the wire; the
+  // encoder writes them, the decoder must refuse them and nothing else.
+  Rng rng(4093);
+  int rejected = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<std::string> labels;
+    for (uint64_t i = 0, n = 1 + rng.NextBelow(6); i < n; ++i) {
+      labels.push_back(rng.NextLabel(static_cast<int>(10 + rng.NextBelow(54))));
+    }
+    const Name qname = Name::FromLabels(std::move(labels));
+    Message msg = MakeQuery(static_cast<uint16_t>(trial), qname, RecordType::kA);
+    msg.answers.push_back(MakeCname(qname, 60, qname));
+    const auto decoded = DecodeMessage(EncodeMessage(msg));
+    if (qname.WireLength() <= 255) {
+      ASSERT_TRUE(decoded.has_value()) << qname.ToString();
+      EXPECT_EQ(*decoded, msg);
+    } else {
+      EXPECT_FALSE(decoded.has_value()) << qname.WireLength() << " octets";
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(CodecFuzzTest, DccOptionsSurviveHostileOptions) {

@@ -215,6 +215,26 @@ TEST(CodecTest, RejectsForwardPointers) {
   EXPECT_FALSE(DecodeMessage(wire).has_value());
 }
 
+TEST(CodecTest, RejectsNamesLongerThan255Octets) {
+  // Five 63-octet labels: 5 * 64 + 1 = 321 octets, over RFC 1035's 255.
+  // Four of them (257 octets) are still too long; three (193) decode.
+  for (const int labels : {5, 4, 3}) {
+    std::vector<uint8_t> wire = {0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0};
+    for (int i = 0; i < labels; ++i) {
+      wire.push_back(63);
+      wire.insert(wire.end(), 63, 'a');
+    }
+    wire.insert(wire.end(), {0, 0, 1, 0, 1});  // Root, type A, class IN.
+    const auto decoded = DecodeMessage(wire);
+    if (labels == 3) {
+      ASSERT_TRUE(decoded.has_value());
+      EXPECT_EQ(decoded->question[0].qname.WireLength(), 193u);
+    } else {
+      EXPECT_FALSE(decoded.has_value()) << labels << " labels";
+    }
+  }
+}
+
 TEST(CodecTest, NxDomainResponseWithSoa) {
   const Name apex = *Name::Parse("neg.example");
   Message msg = MakeResponse(MakeQuery(9, *apex.Prepend("missing"), RecordType::kA),

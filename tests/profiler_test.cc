@@ -91,6 +91,38 @@ TEST(ProfilerTest, NestingAttributesSelfAndTotal) {
   prof::Reset();
 }
 
+void SharedNameHere() {
+  DCC_PROF_SCOPE("test.shared");
+  Burn(50);
+}
+
+void SharedNameThere() {
+  DCC_PROF_SCOPE("test.shared");
+  SharedNameHere();
+}
+
+TEST(ProfilerTest, CallSitesSharingANameShareOneRow) {
+  prof::Reset();
+  prof::Enable();
+  SharedNameHere();
+  SharedNameThere();
+  prof::Disable();
+  const prof::ProfileReport report = prof::Snapshot();
+
+  int rows = 0;
+  for (const prof::SiteReport& site : report.sites) {
+    rows += site.name == "test.shared" ? 1 : 0;
+  }
+  EXPECT_EQ(rows, 1);
+  const prof::SiteReport* shared = FindSite(report, "test.shared");
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->calls, 3u);
+  // Nested under itself, the name's total counts the outermost entry only.
+  EXPECT_EQ(shared->total_ns, shared->self_ns);
+
+  prof::Reset();
+}
+
 TEST(ProfilerTest, FoldedStacksMatchCallStructure) {
   prof::Reset();
   prof::Enable();
