@@ -24,33 +24,6 @@ namespace {
 
 using scenario::QueryPattern;
 
-void PrintSeries(const scenario::ScenarioOutcome& result, bool ff_attacker) {
-  std::printf("%-10s", "t(s)");
-  for (const auto& client : result.clients) {
-    std::printf("%10s", client.label.c_str());
-  }
-  std::printf("\n");
-  // Fig. 8 caption: with the FF pattern the attacker's effective QPS is the
-  // load it actually lands on the nameserver (shared landed-series math in
-  // measure/fairness).
-  const std::vector<measure::ClientFairnessSample> samples =
-      measure::FairnessSamples(result.clients);
-  const std::vector<double> landed =
-      measure::AttackerLandedSeries(samples, result.ans[0].qps);
-  const size_t seconds = result.clients.front().effective_qps.size();
-  for (size_t t = 0; t < seconds; t += 2) {
-    std::printf("%-10zu", t);
-    for (const auto& client : result.clients) {
-      double value = client.effective_qps[t];
-      if (ff_attacker && client.is_attacker && t < landed.size()) {
-        value = landed[t];
-      }
-      std::printf("%10.0f", value);
-    }
-    std::printf("\n");
-  }
-}
-
 void RunScenario(const char* title, QueryPattern pattern, double attacker_qps) {
   std::printf("\n=== Scenario: %s (attacker %.0f QPS) ===\n", title, attacker_qps);
   const bool ff = pattern == QueryPattern::kFf;
@@ -69,7 +42,7 @@ void RunScenario(const char* title, QueryPattern pattern, double attacker_qps) {
       std::abort();
     }
     std::printf("\n--- %s ---\n", dcc_enabled ? "DCC-enabled resolver" : "vanilla resolver");
-    PrintSeries(result, ff);
+    bench::PrintSeries(result, ff);
     const telemetry::MetricsSnapshot snap = sink.metrics.Snapshot();
     std::printf("summary:");
     for (const auto& client : result.clients) {

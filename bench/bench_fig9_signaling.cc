@@ -23,31 +23,6 @@ namespace {
 
 using scenario::QueryPattern;
 
-void PrintSeries(const scenario::ScenarioOutcome& result, bool ff_attacker) {
-  std::printf("%-10s", "t(s)");
-  for (const auto& client : result.clients) {
-    std::printf("%10s", client.label.c_str());
-  }
-  std::printf("\n");
-  // FF landed-load math shared with fig8 via measure/fairness.
-  const std::vector<measure::ClientFairnessSample> samples =
-      measure::FairnessSamples(result.clients);
-  const std::vector<double> landed =
-      measure::AttackerLandedSeries(samples, result.ans[0].qps);
-  const size_t seconds = result.clients.front().effective_qps.size();
-  for (size_t t = 0; t < seconds; t += 2) {
-    std::printf("%-10zu", t);
-    for (const auto& client : result.clients) {
-      double value = client.effective_qps[t];
-      if (ff_attacker && client.is_attacker && t < landed.size()) {
-        value = landed[t];
-      }
-      std::printf("%10.0f", value);
-    }
-    std::printf("\n");
-  }
-}
-
 void RunPattern(const char* title, QueryPattern pattern, double attacker_qps) {
   std::printf("\n=== Scenario: %s (attacker %.0f QPS) ===\n", title, attacker_qps);
   for (bool signaling : {false, true}) {
@@ -65,7 +40,7 @@ void RunPattern(const char* title, QueryPattern pattern, double attacker_qps) {
       std::abort();
     }
     std::printf("\n--- signaling %s ---\n", signaling ? "ON" : "OFF");
-    PrintSeries(result, pattern == QueryPattern::kFf);
+    bench::PrintSeries(result, pattern == QueryPattern::kFf);
     const telemetry::MetricsSnapshot snap = sink.metrics.Snapshot();
     std::printf("summary:");
     for (const auto& client : result.clients) {

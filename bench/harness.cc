@@ -9,6 +9,10 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "src/measure/fairness.h"
+#include "src/scenario/engine.h"
 
 namespace dcc {
 namespace bench {
@@ -348,6 +352,30 @@ std::vector<std::string> CompareReports(const SuiteReport& current,
     }
   }
   return violations;
+}
+
+void PrintSeries(const scenario::ScenarioOutcome& result, bool ff_attacker) {
+  std::printf("%-10s", "t(s)");
+  for (const auto& client : result.clients) {
+    std::printf("%10s", client.label.c_str());
+  }
+  std::printf("\n");
+  const std::vector<measure::ClientFairnessSample> samples =
+      measure::FairnessSamples(result.clients);
+  const std::vector<double> landed =
+      measure::AttackerLandedSeries(samples, result.ans[0].qps);
+  const size_t seconds = result.clients.front().effective_qps.size();
+  for (size_t t = 0; t < seconds; t += 2) {
+    std::printf("%-10zu", t);
+    for (const auto& client : result.clients) {
+      double value = client.effective_qps[t];
+      if (ff_attacker && client.is_attacker && t < landed.size()) {
+        value = landed[t];
+      }
+      std::printf("%10.0f", value);
+    }
+    std::printf("\n");
+  }
 }
 
 }  // namespace bench

@@ -17,6 +17,10 @@
 #include <vector>
 
 namespace dcc {
+namespace scenario {
+struct ScenarioOutcome;
+}  // namespace scenario
+
 namespace bench {
 
 struct BenchOptions {
@@ -88,6 +92,14 @@ bool ResetPeakRss();
 // BENCH_dcc.json rendering and (minimal, format-specific) parsing.
 std::string RenderJson(const SuiteReport& report);
 bool ParseReportJson(const std::string& text, SuiteReport* out);
+
+// --- figure tables ----------------------------------------------------------
+
+// Per-client effective QPS every other second, one column per client (the
+// Fig. 8 and Fig. 9 series). With `ff_attacker` the attacker's column is the
+// load it actually lands on the nameserver (Fig. 8 caption; the landed-series
+// math lives in measure/fairness).
+void PrintSeries(const scenario::ScenarioOutcome& result, bool ff_attacker);
 
 // --- regression check -------------------------------------------------------
 

@@ -1,8 +1,8 @@
 // Minimal recursive-descent JSON parser and writer (RFC 8259 subset, no
 // external deps).
 //
-// Exists for the offline tooling side of telemetry (`tools/dcc_trace` parses
-// the tracer's JSONL dumps back into span events) and for the declarative
+// Exists for the offline tooling side of telemetry (src/telemetry parses
+// the tracer's and the audit log's JSONL dumps back) and for the declarative
 // scenario specs (`src/scenario` parses, validates and re-emits
 // ScenarioSpec documents). It is NOT a general-purpose library: numbers are
 // held as doubles, strings support the standard escapes ("\uXXXX" is decoded
@@ -16,6 +16,8 @@
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -76,6 +78,10 @@ class Value {
   double Number(const std::string& key, double fallback = 0) const;
   std::string String(const std::string& key,
                      const std::string& fallback = "") const;
+  // Object member `key` as an `Int`: `fallback` when absent, false when the
+  // member is not a whole number that `Int` holds.
+  template <typename Int>
+  bool Integer(const std::string& key, Int fallback, Int* out) const;
 
  private:
   friend class Parser;
@@ -86,6 +92,24 @@ class Value {
   std::vector<Value> array_;
   std::map<std::string, Value> object_;
 };
+
+template <typename Int>
+bool Value::Integer(const std::string& key, Int fallback, Int* out) const {
+  const Value* v = Find(key);
+  if (v == nullptr) {
+    *out = fallback;
+    return true;
+  }
+  // max() + 1 is a power of two, so both bounds are exact doubles.
+  const double low = static_cast<double>(std::numeric_limits<Int>::min());
+  const double high = static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
+  const double n = v->AsNumber(0.5);  // A non-number reads as not whole.
+  if (!(n >= low && n < high) || n != std::trunc(n)) {
+    return false;
+  }
+  *out = static_cast<Int>(n);
+  return true;
+}
 
 inline constexpr int kMaxDepth = 64;
 

@@ -6,7 +6,9 @@
 #include <cstring>
 
 #include "src/common/ids.h"
+#include "src/common/json.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/trace.h"
 
 namespace dcc {
 namespace telemetry {
@@ -77,6 +79,45 @@ void SetAuditQname(AuditRecord& record, std::string_view name) {
                                                                         : c;
   }
   record.qname[n] = '\0';
+}
+
+bool ParseAuditJsonLine(std::string_view line, AuditRecord* out,
+                        std::string* error) {
+  json::Value doc;
+  if (!json::Parse(line, &doc, error)) {
+    return false;
+  }
+  if (!doc.is_object()) {
+    *error = "not a JSON object";
+    return false;
+  }
+  const std::string cause = doc.String("cause");
+  if (cause.empty()) {
+    *error = "missing cause";
+    return false;
+  }
+  if (!AuditCauseFromName(cause, &out->cause)) {
+    *error = "unknown cause '" + cause + "'";
+    return false;
+  }
+  const std::string id_hex = doc.String("trace_id");
+  if (!ParseTraceId(id_hex, &out->trace_id)) {
+    *error = "bad trace_id '" + id_hex + "'";
+    return false;
+  }
+  if (!doc.Integer("ts_us", Time{0}, &out->at) ||
+      !doc.Integer("span_id", uint32_t{0}, &out->span_id) ||
+      !doc.Integer("parent_span_id", uint32_t{0}, &out->parent_span_id)) {
+    *error = "ts_us or a span id is not an integer in range";
+    return false;
+  }
+  out->observed = doc.Number("observed");
+  out->limit = doc.Number("limit");
+  ParseAddress(doc.String("actor"), &out->actor);
+  ParseAddress(doc.String("client"), &out->client);
+  ParseAddress(doc.String("channel"), &out->channel);
+  SetAuditQname(*out, doc.String("qname"));
+  return true;
 }
 
 DecisionAuditLog::DecisionAuditLog(size_t capacity)

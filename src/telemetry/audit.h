@@ -78,8 +78,7 @@ inline constexpr int kAuditCauseCount = 20;
 // Dotted cause name, e.g. "mopi.queue_full". Stable: these strings are the
 // audit JSONL schema and the metric `reason` label values.
 const char* AuditCauseName(AuditCause cause);
-// Inverse of AuditCauseName; false when `name` matches no cause. Used by
-// the offline dcc_why CLI when validating JSONL dumps.
+// Inverse of AuditCauseName; false when `name` matches no cause.
 bool AuditCauseFromName(std::string_view name, AuditCause* out);
 
 // Fixed-width presentation buffer for the query name; long names are
@@ -113,6 +112,12 @@ struct AuditRecord {
 // buffer verbatim.
 void SetAuditQname(AuditRecord& record, std::string_view name);
 
+// Parses one line of DecisionAuditLog::ExportJsonLines (the `dcc_why`
+// audit commands' input). False with `error` set on malformed JSON, a cause
+// outside the taxonomy, a bad trace id or an integer field out of range.
+bool ParseAuditJsonLine(std::string_view line, AuditRecord* out,
+                        std::string* error);
+
 class Counter;
 class MetricsRegistry;
 
@@ -145,7 +150,7 @@ class DecisionAuditLog {
   //    "trace_id":"00000a00000c0001","span_id":1,"parent_span_id":0,
   //    "observed":100,"limit":100,"qname":"a.target-domain."}
   // trace_id uses the tracer's %016x encoding so audit lines string-join
-  // against trace JSONL.
+  // against trace JSONL. ParseAuditJsonLine reads a line back.
   std::string ExportJsonLines() const;
 
  private:

@@ -329,6 +329,50 @@ std::string RenderTree(const SpanTree& tree) {
   return out;
 }
 
+std::string RenderBreakdown(const SpanTree& tree) {
+  // Tree nodes keep per-span order; the breakdown wants the interleaved
+  // global timeline.
+  std::vector<SpanEvent> events;
+  for (const SpanNode& node : tree.nodes) {
+    events.insert(events.end(), node.events.begin(), node.events.end());
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) { return a.at < b.at; });
+  const TraceStats stats = ComputeStats(tree);
+  std::string out;
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "trace %016" PRIx64 " client %s%s\n", tree.trace_id,
+                FormatAddress(tree.client).c_str(),
+                tree.truncated ? "  [TRUNCATED: head evicted from ring]" : "");
+  out += buf;
+  const Time start = events.empty() ? 0 : events.front().at;
+  Time prev = start;
+  for (const SpanEvent& event : events) {
+    std::snprintf(buf, sizeof(buf),
+                  "  +%8" PRId64 " us (d %6" PRId64
+                  ")  %-17s span=%-4u parent=%-4u actor=%-12s detail=%d\n",
+                  event.at - start, event.at - prev, SpanKindName(event.kind),
+                  event.span_id, event.parent_span_id,
+                  FormatAddress(event.actor).c_str(), event.detail);
+    out += buf;
+    prev = event.at;
+  }
+  std::snprintf(buf, sizeof(buf), "  stats: %zu subqueries, %zu retries, depth %d, %s\n",
+                stats.subqueries, stats.retries, stats.max_depth,
+                stats.complete ? "complete" : "incomplete");
+  out += buf;
+  std::string path;
+  for (size_t i = 0; i < stats.critical_path.size(); ++i) {
+    if (i > 0) {
+      path += " -> ";
+    }
+    path += "span " + std::to_string(stats.critical_path[i]);
+  }
+  // Appended rather than formatted: a deep chain outgrows any fixed buffer.
+  return out + "  critical path: " + (path.empty() ? "(none)" : path) + " (" +
+         std::to_string(stats.critical_path_latency) + " us)\n\n";
+}
+
 std::string RenderTopAmplifiers(const AmplificationReport& report, size_t top_n) {
   std::string out;
   char buf[256];

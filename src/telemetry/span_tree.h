@@ -121,8 +121,13 @@ AmplificationReport Attribute(const std::vector<SpanTree>& trees);
 
 // ---- rendering -------------------------------------------------------------
 
-// ASCII rendering of one span tree (dcc_trace `tree` subcommand).
+// ASCII rendering of one span tree (`dcc_why tree`).
 std::string RenderTree(const SpanTree& tree);
+
+// Stage-by-stage latency breakdown of one trace (`dcc_why report`): every
+// retained event in timestamp order with its offset from the trace start and
+// the delta from the previous event, then the critical path.
+std::string RenderBreakdown(const SpanTree& tree);
 
 // The "top amplifiers" forensics table: per-client fan-out ranked worst
 // first, with cause mix — FF/CQ attack clients surface at the top.

@@ -1,11 +1,13 @@
 #include "src/telemetry/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <unordered_set>
 
 #include "src/common/ids.h"
+#include "src/common/json.h"
 #include "src/telemetry/metrics.h"
 
 namespace dcc {
@@ -48,6 +50,44 @@ bool SpanKindFromName(std::string_view name, SpanKind* out) {
     }
   }
   return false;
+}
+
+bool ParseTraceId(std::string_view text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  return !text.empty() && text.size() <= 16 &&
+         std::from_chars(text.data(), end, *out, 16).ptr == end;
+}
+
+bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
+                       std::string* error) {
+  json::Value doc;
+  if (!json::Parse(line, &doc, error)) {
+    return false;
+  }
+  if (!doc.is_object()) {
+    *error = "not a JSON object";
+    return false;
+  }
+  const std::string id_hex = doc.String("trace_id");
+  if (!ParseTraceId(id_hex, &out->trace_id)) {
+    *error = "bad trace_id '" + id_hex + "'";
+    return false;
+  }
+  const std::string span = doc.String("span");
+  if (!SpanKindFromName(span, &out->kind)) {
+    *error = "unknown span kind '" + span + "'";
+    return false;
+  }
+  if (!doc.Integer("ts_us", Time{0}, &out->at) ||
+      !doc.Integer("detail", int32_t{0}, &out->detail) ||
+      !doc.Integer("span_id", kClientSpanId, &out->span_id) ||
+      !doc.Integer("parent_span_id", uint32_t{0}, &out->parent_span_id)) {
+    *error = "ts_us, detail or a span id is not an integer in range";
+    return false;
+  }
+  ParseAddress(doc.String("actor"), &out->actor);
+  ParseAddress(doc.String("peer"), &out->peer);
+  return true;
 }
 
 const char* SubQueryCauseName(SubQueryCause cause) {
@@ -185,33 +225,6 @@ std::string QueryTracer::ExportJsonLines() const {
                   event.span_id, event.parent_span_id,
                   FormatAddress(event.peer).c_str());
     out += buf;
-  }
-  return out;
-}
-
-std::string QueryTracer::BreakdownReport(uint64_t trace_id) const {
-  const std::vector<SpanEvent> events = EventsFor(trace_id);
-  if (events.empty()) {
-    return "";
-  }
-  std::string out;
-  char buf[192];
-  const bool truncated = PossiblyTruncated(trace_id);
-  std::snprintf(buf, sizeof(buf), "trace %016" PRIx64 " (%zu spans)%s\n",
-                trace_id, events.size(),
-                truncated ? "  [TRUNCATED: head evicted from ring]" : "");
-  out += buf;
-  const Time origin = events.front().at;
-  Time previous = origin;
-  for (const SpanEvent& event : events) {
-    std::snprintf(buf, sizeof(buf),
-                  "  +%8" PRId64 "us  (+%6" PRId64
-                  "us)  %-18s %s span=%u parent=%u detail=%d\n",
-                  event.at - origin, event.at - previous,
-                  SpanKindName(event.kind), FormatAddress(event.actor).c_str(),
-                  event.span_id, event.parent_span_id, event.detail);
-    out += buf;
-    previous = event.at;
   }
   return out;
 }

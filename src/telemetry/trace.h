@@ -43,8 +43,7 @@ enum class SpanKind : uint8_t {
 inline constexpr int kSpanKindCount = 11;
 
 const char* SpanKindName(SpanKind kind);
-// Inverse of SpanKindName; false when `name` matches no kind. Used by the
-// offline dcc_trace CLI when re-reading JSONL dumps.
+// Inverse of SpanKindName; false when `name` matches no kind.
 bool SpanKindFromName(std::string_view name, SpanKind* out);
 
 // Why the resolver issued a sub-query (carried as kSubQuerySend's detail and
@@ -90,6 +89,16 @@ constexpr uint64_t MakeTraceId(uint32_t client_addr, uint16_t client_port,
          (static_cast<uint64_t>(client_port) << 16) | dns_id;
 }
 
+// Parses a trace id as the JSONL dumps print it: 1 to 16 hex digits.
+bool ParseTraceId(std::string_view text, uint64_t* out);
+
+// Parses one line of QueryTracer::ExportJsonLines (the `dcc_why` trace
+// commands' input). False with `error` set on malformed JSON, a bad trace
+// id, an unknown span kind or an integer field out of range. Absent causal
+// fields take the SpanEvent defaults, so dumps older than span trees load.
+bool ParseSpanJsonLine(std::string_view line, SpanEvent* out,
+                       std::string* error);
+
 class Counter;
 class MetricsRegistry;
 
@@ -132,15 +141,10 @@ class QueryTracer {
   // first eviction — indistinguishable from a lost head).
   bool PossiblyTruncated(uint64_t trace_id) const;
 
-  // One JSON object per span event:
+  // One JSON object per span event (ParseSpanJsonLine reads it back):
   //   {"trace_id":"...","ts_us":...,"span":"stub_send","actor":"10.0.0.7",
   //    "detail":...,"span_id":...,"parent_span_id":...,"peer":"10.0.3.1"}
   std::string ExportJsonLines() const;
-
-  // Human-readable per-stage latency breakdown of one trace: each retained
-  // span with its offset from the first span and the delta from the previous
-  // one. Returns an empty string for an unknown trace.
-  std::string BreakdownReport(uint64_t trace_id) const;
 
  private:
   size_t capacity_;

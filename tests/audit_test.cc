@@ -164,7 +164,7 @@ TEST(AuditLogTest, ExportJsonLinesEmitsSchemaFields) {
   EXPECT_NE(jsonl.find("\"cause\":\"mopi.channel_congested\""),
             std::string::npos)
       << jsonl;
-  // trace_id is 16-hex, matching the dcc_trace JSONL encoding so the two
+  // trace_id is 16-hex, matching the span JSONL encoding so the two
   // streams join verbatim.
   EXPECT_NE(jsonl.find("\"trace_id\":\"0a00000600350042\""), std::string::npos)
       << jsonl;
@@ -182,6 +182,79 @@ TEST(AuditLogTest, QnamesAreSanitizedAndTruncated) {
   const std::string longname(200, 'x');
   telemetry::SetAuditQname(rec, longname);
   EXPECT_EQ(std::strlen(rec.qname), telemetry::kAuditQnameCapacity - 1);
+}
+
+// ExportJsonLines parsed back line by line gives the recorded records.
+TEST(AuditLogTest, JsonLinesRoundTripEveryCause) {
+  DecisionAuditLog log;
+  std::vector<AuditRecord> recorded;
+  for (int i = 0; i < telemetry::kAuditCauseCount; ++i) {
+    AuditRecord rec = MakeRecord(static_cast<AuditCause>(i), 250000 * i + 3);
+    rec.actor = 0x0a000003;
+    // Zero client and channel addresses print as 0.0.0.0.
+    rec.client = i % 2 == 0 ? 0 : 0x0a000006;
+    rec.channel = i % 2 == 0 ? 0 : 0x0a000001;
+    rec.trace_id = i % 3 == 0 ? 0 : i % 3 == 1 ? 0x8000000600350042ull : ~0ull;
+    rec.span_id = i % 3 == 0 ? 0 : 4000000000u + i;
+    rec.parent_span_id = i % 3 == 0 ? 0 : telemetry::kClientSpanId;
+    rec.observed = 12.5 * i;
+    rec.limit = 100;
+    if (i % 3 == 0) {
+      telemetry::SetAuditQname(rec, "x1.target-domain");
+    } else if (i % 3 == 1) {
+      telemetry::SetAuditQname(rec, "a\"b\\c\nd.example");  // Sanitized.
+    } else {
+      telemetry::SetAuditQname(rec, std::string(200, 'q'));  // Truncated.
+    }
+    log.Record(rec);
+    recorded.push_back(rec);
+  }
+  const std::string text = log.ExportJsonLines();
+  std::vector<AuditRecord> parsed;
+  for (size_t pos = 0, end; (end = text.find('\n', pos)) != std::string::npos; pos = end + 1) {
+    AuditRecord rec;
+    std::string error;
+    ASSERT_TRUE(telemetry::ParseAuditJsonLine(text.substr(pos, end - pos), &rec, &error))
+        << error;
+    parsed.push_back(rec);
+  }
+  ASSERT_EQ(parsed.size(), recorded.size());
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    SCOPED_TRACE(telemetry::AuditCauseName(recorded[i].cause));
+    EXPECT_EQ(parsed[i].at, recorded[i].at);
+    EXPECT_EQ(parsed[i].cause, recorded[i].cause);
+    EXPECT_EQ(parsed[i].actor, recorded[i].actor);
+    EXPECT_EQ(parsed[i].client, recorded[i].client);
+    EXPECT_EQ(parsed[i].channel, recorded[i].channel);
+    EXPECT_EQ(parsed[i].trace_id, recorded[i].trace_id);
+    EXPECT_EQ(parsed[i].span_id, recorded[i].span_id);
+    EXPECT_EQ(parsed[i].parent_span_id, recorded[i].parent_span_id);
+    EXPECT_EQ(parsed[i].observed, recorded[i].observed);
+    EXPECT_EQ(parsed[i].limit, recorded[i].limit);
+    EXPECT_STREQ(parsed[i].qname, recorded[i].qname);
+  }
+}
+
+TEST(AuditLogTest, ParseAuditJsonLineRejectsMalformedLines) {
+  const char* bad[] = {
+      "not json at all",
+      R"({"ts_us":1,"trace_id":"0000000000000000"})",
+      R"({"cause":"policer.rate_exceeded","trace_id":"xyz"})",
+      R"({"cause":"policer.rate_exceeded","trace_id":"00","span_id":-1})",
+      R"({"cause":"mopi.queue_full","trace_id":"00","ts_us":)",  // Cut in half.
+  };
+  for (const char* line : bad) {
+    AuditRecord rec;
+    std::string error;
+    EXPECT_FALSE(telemetry::ParseAuditJsonLine(line, &rec, &error)) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+  // A cause outside the taxonomy is malformed, and the error names it.
+  AuditRecord rec;
+  std::string error;
+  EXPECT_FALSE(telemetry::ParseAuditJsonLine(
+      R"({"cause":"no.such_cause","trace_id":"0000000000000000"})", &rec, &error));
+  EXPECT_EQ(error, "unknown cause 'no.such_cause'");
 }
 
 // --- behavior neutrality (the tentpole guarantee) ---------------------------

@@ -2,7 +2,7 @@
 // document shapes, string escapes, strict number grammar, error reporting
 // with byte offsets, the one-document rule, the recursion-depth guard, and
 // Write() round-trips (stable key order, escaping, integer vs double
-// formatting). The parser exists so dcc_trace can re-read JSONL trace dumps
+// formatting). The parser exists so src/telemetry can re-read JSONL dumps
 // and so the scenario library can load ScenarioSpec documents; the writer
 // backs spec round-trip tests and `dcc_sim run --dump-effective`.
 
@@ -204,6 +204,25 @@ TEST(JsonWriteTest, ParseWriteParseRoundTrips) {
     // And pretty output reparses to the same fixed point.
     EXPECT_EQ(Write(MustParse(Write(first, 2))), emitted) << doc;
   }
+}
+
+TEST(JsonParseTest, IntegerMembersAreRangeChecked) {
+  const Value doc = MustParse(
+      R"({"u":4294967295,"big":4294967296,"neg":-1,"frac":2.5,"s":"7",)"
+      R"("i64":9223372036854775807,"min":-9223372036854775808})");
+  uint32_t u = 0;
+  EXPECT_TRUE(doc.Integer("u", uint32_t{0}, &u));
+  EXPECT_EQ(u, 4294967295u);
+  EXPECT_TRUE(doc.Integer("absent", uint32_t{5}, &u));
+  EXPECT_EQ(u, 5u);
+  for (const char* key : {"big", "neg", "frac", "s"}) {
+    EXPECT_FALSE(doc.Integer(key, uint32_t{0}, &u)) << key;
+  }
+  // 2^63 - 1 rounds to 2^63 as a double, one past the int64 range.
+  int64_t i = 0;
+  EXPECT_FALSE(doc.Integer("i64", int64_t{0}, &i));
+  EXPECT_TRUE(doc.Integer("min", int64_t{0}, &i));
+  EXPECT_EQ(i, INT64_MIN);
 }
 
 }  // namespace

@@ -235,6 +235,55 @@ TEST(SpanTreeTest, CqChainAmplificationMath) {
   EXPECT_NE(table.find("busiest channels"), std::string::npos);
 }
 
+// --- stage-by-stage breakdown -----------------------------------------------
+
+// The breakdown of `trace_id` among `trees`, as `dcc_why report --trace`
+// prints it; empty when no tree has that id.
+std::string BreakdownOf(const std::vector<SpanTree>& trees, uint64_t trace_id) {
+  std::string out;
+  for (const SpanTree& tree : trees) {
+    if (tree.trace_id == trace_id) {
+      out += RenderBreakdown(tree);
+    }
+  }
+  return out;
+}
+
+TEST(SpanTreeTest, RenderBreakdownShowsOffsetsAndDeltas) {
+  QueryTracer tracer(16);
+  tracer.Record(9, SpanKind::kStubSend, 100);
+  tracer.Record(9, SpanKind::kResolverIngress, 150);
+  tracer.Record(9, SpanKind::kClientReceive, 400, 0, 1);
+  const std::vector<SpanTree> trees = BuildSpanTrees(tracer);
+  const std::string report = BreakdownOf(trees, 9);
+  EXPECT_NE(report.find("trace 0000000000000009"), std::string::npos) << report;
+  EXPECT_NE(report.find("stub_send"), std::string::npos) << report;
+  EXPECT_NE(report.find("+     300 us (d    250)  client_receive"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("complete"), std::string::npos) << report;
+  EXPECT_NE(report.find("critical path: span 1 (300 us)"), std::string::npos) << report;
+  EXPECT_TRUE(BreakdownOf(trees, 12345).empty());
+}
+
+TEST(SpanTreeTest, RenderBreakdownMarksTracesBeheadedByRingWrap) {
+  QueryTracer tracer(4);
+  tracer.Record(1, SpanKind::kStubSend, 10);
+  tracer.Record(1, SpanKind::kClientReceive, 20, 0, 1);
+  tracer.Record(2, SpanKind::kStubSend, 30);
+  tracer.Record(2, SpanKind::kClientReceive, 40, 0, 1);
+  // A third trace wraps the ring and eats trace 1 entirely plus trace 2's
+  // send.
+  tracer.Record(3, SpanKind::kStubSend, 50);
+  tracer.Record(3, SpanKind::kResolverIngress, 60);
+  tracer.Record(3, SpanKind::kClientReceive, 70, 0, 1);
+  const std::vector<SpanTree> trees = BuildSpanTrees(tracer);
+  // The breakdown of the beheaded trace says so instead of silently looking
+  // like a receive-only lifecycle.
+  EXPECT_NE(BreakdownOf(trees, 2).find("[TRUNCATED"), std::string::npos);
+  EXPECT_EQ(BreakdownOf(trees, 3).find("[TRUNCATED"), std::string::npos);
+  EXPECT_TRUE(BreakdownOf(trees, 1).empty());
+}
+
 // --- Chrome trace-event export ----------------------------------------------
 
 TEST(ChromeTraceTest, ExportParsesAsJsonWithExpectedShape) {
@@ -293,7 +342,7 @@ TEST(ChromeTraceTest, TracerOverloadExportsRetainedWindow) {
 // on an uncongested vanilla run (2-QPS attacker, 100000-QPS channel, 25 s)
 // the attribution engine must measure the attacker within 20% of
 // fan-out^2 = 49 upstream queries per request and rank it above every benign
-// client. The same run is documented as the dcc_trace walkthrough in
+// client. The same run is documented as the `dcc_why top` walkthrough in
 // EXPERIMENTS.md.
 TEST(SpanTreeForensicsTest, FfAttackerAmplificationNearFanoutSquared) {
   scenario::ScenarioSpec spec;

@@ -14,6 +14,7 @@
 #include "src/scenario/engine.h"
 #include "src/scenario/scenarios.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/span_tree.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
 
@@ -240,7 +241,7 @@ TEST(QueryTracerTest, PossiblyTruncatedFlagsEvictedHead) {
   EXPECT_TRUE(tracer.PossiblyTruncated(777));
 }
 
-TEST(QueryTracerTest, CompleteTraceIdsAndReportAcrossWrap) {
+TEST(QueryTracerTest, CompleteTraceIdsAcrossWrap) {
   QueryTracer tracer(4);
   tracer.Record(1, SpanKind::kStubSend, 10);
   tracer.Record(1, SpanKind::kClientReceive, 20, 0, 1);
@@ -256,13 +257,6 @@ TEST(QueryTracerTest, CompleteTraceIdsAndReportAcrossWrap) {
   const std::vector<uint64_t> complete = tracer.CompleteTraceIds();
   ASSERT_EQ(complete.size(), 1u);
   EXPECT_EQ(complete[0], 3u);
-
-  // The breakdown of the beheaded trace says so instead of silently looking
-  // like a receive-only lifecycle.
-  const std::string report = tracer.BreakdownReport(2);
-  EXPECT_NE(report.find("[TRUNCATED"), std::string::npos);
-  EXPECT_EQ(tracer.BreakdownReport(3).find("[TRUNCATED"), std::string::npos);
-  EXPECT_TRUE(tracer.BreakdownReport(1).empty());
 }
 
 TEST(QueryTracerTest, SpanKindNamesRoundTrip) {
@@ -288,17 +282,75 @@ TEST(QueryTracerTest, ExportJsonLinesRendersSpans) {
   EXPECT_NE(text.find("\"actor\":\"10.0.0.1\""), std::string::npos);
 }
 
-TEST(QueryTracerTest, BreakdownReportShowsOffsets) {
-  QueryTracer tracer(16);
-  tracer.Record(9, SpanKind::kStubSend, 100);
-  tracer.Record(9, SpanKind::kResolverIngress, 150);
-  tracer.Record(9, SpanKind::kClientReceive, 400);
-  const std::string report = tracer.BreakdownReport(9);
-  EXPECT_NE(report.find("3 spans"), std::string::npos);
-  EXPECT_NE(report.find("stub_send"), std::string::npos);
-  EXPECT_NE(report.find("client_receive"), std::string::npos);
-  EXPECT_NE(report.find("+     300us"), std::string::npos);
-  EXPECT_TRUE(tracer.BreakdownReport(12345).empty());
+// ExportJsonLines parsed back line by line gives the recorded events.
+TEST(QueryTracerTest, JsonLinesRoundTripEverySpanKind) {
+  QueryTracer tracer(64);
+  std::vector<SpanEvent> recorded;
+  for (int k = 0; k < kSpanKindCount; ++k) {
+    SpanEvent event;
+    // Alternate a trace id with the top bit set and zero peer/actor
+    // addresses, which print as 0.0.0.0.
+    event.trace_id = k % 2 == 0 ? 0xfedcba9876543210ull : MakeTraceId(0x0a000007, 5353, k);
+    event.at = 1000 * k + 7;
+    event.actor = k % 3 == 0 ? 0 : 0x0a000002;
+    event.kind = static_cast<SpanKind>(k);
+    event.detail = k - 3;
+    event.span_id = k % 4 == 0 ? kClientSpanId : 4000000000u + k;
+    event.parent_span_id = k % 4 == 0 ? 0 : kClientSpanId;
+    event.peer = k % 2 == 0 ? 0 : 0xc0a80001;
+    tracer.Record(event.trace_id, event.kind, event.at, event.actor, event.detail,
+                  event.span_id, event.parent_span_id, event.peer);
+    recorded.push_back(event);
+  }
+  const std::string text = tracer.ExportJsonLines();
+  std::vector<SpanEvent> parsed;
+  for (size_t pos = 0, end; (end = text.find('\n', pos)) != std::string::npos; pos = end + 1) {
+    SpanEvent event;
+    std::string error;
+    ASSERT_TRUE(ParseSpanJsonLine(text.substr(pos, end - pos), &event, &error)) << error;
+    parsed.push_back(event);
+  }
+  ASSERT_EQ(parsed.size(), recorded.size());
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    SCOPED_TRACE(SpanKindName(recorded[i].kind));
+    EXPECT_EQ(parsed[i].trace_id, recorded[i].trace_id);
+    EXPECT_EQ(parsed[i].at, recorded[i].at);
+    EXPECT_EQ(parsed[i].actor, recorded[i].actor);
+    EXPECT_EQ(parsed[i].kind, recorded[i].kind);
+    EXPECT_EQ(parsed[i].detail, recorded[i].detail);
+    EXPECT_EQ(parsed[i].span_id, recorded[i].span_id);
+    EXPECT_EQ(parsed[i].parent_span_id, recorded[i].parent_span_id);
+    EXPECT_EQ(parsed[i].peer, recorded[i].peer);
+  }
+}
+
+TEST(QueryTracerTest, ParseSpanJsonLineRejectsMalformedLines) {
+  const char* bad[] = {
+      "not json at all",
+      "[1,2]",
+      R"({"trace_id":"zz","span":"stub_send"})",
+      R"({"trace_id":"00000000000000001","span":"stub_send"})",  // 17 digits.
+      R"({"span":"stub_send"})",
+      R"({"trace_id":"0a","span":"bogus_kind"})",
+      R"({"trace_id":"0a","span":"stub_send","span_id":4294967296})",
+      R"({"trace_id":"0a","span":"stub_send","detail":1.5})",
+      R"({"trace_id":"0a","span":"stub_send","ts_us":1e300})",
+      R"({"trace_id":"0a","ts_us":12)",  // A line cut in half.
+  };
+  for (const char* line : bad) {
+    SpanEvent event;
+    std::string error;
+    EXPECT_FALSE(ParseSpanJsonLine(line, &event, &error)) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+  // Absent causal fields take the SpanEvent defaults (pre-span-tree dumps).
+  SpanEvent event;
+  std::string error;
+  ASSERT_TRUE(ParseSpanJsonLine(R"({"trace_id":"0A","span":"egress"})", &event, &error))
+      << error;
+  EXPECT_EQ(event.trace_id, 10u);
+  EXPECT_EQ(event.span_id, kClientSpanId);
+  EXPECT_EQ(event.parent_span_id, 0u);
 }
 
 TEST(QueryTracerTest, SpanKindNamesCoverAllStages) {
@@ -335,6 +387,7 @@ TEST(TelemetryEndToEndTest, ScenarioProducesMetricsAndCompleteTrace) {
 
   const std::vector<uint64_t> complete = sink.trace.CompleteTraceIds();
   ASSERT_FALSE(complete.empty());
+  const std::vector<SpanTree> trees = BuildSpanTrees(sink.trace);
   // At least one benign query must traverse the full path: stub -> resolver
   // -> policer -> scheduler -> egress -> auth -> back to the client, with
   // monotone timestamps (virtual clock).
@@ -358,7 +411,10 @@ TEST(TelemetryEndToEndTest, ScenarioProducesMetricsAndCompleteTrace) {
         stages[static_cast<int>(SpanKind::kEgress)] &&
         stages[static_cast<int>(SpanKind::kAuthResponse)]) {
       found_full_path = true;
-      EXPECT_FALSE(sink.trace.BreakdownReport(id).empty());
+      const auto tree = std::find_if(trees.begin(), trees.end(),
+                                     [&](const SpanTree& t) { return t.trace_id == id; });
+      ASSERT_NE(tree, trees.end());
+      EXPECT_NE(RenderBreakdown(*tree).find("client_receive"), std::string::npos);
     }
   }
   EXPECT_TRUE(found_full_path);

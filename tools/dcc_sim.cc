@@ -21,15 +21,11 @@
 //       --set nodes[2].dcc.signaling_enabled=false
 //   dcc_sim validate --spec examples/scenarios/chaos.json --set run.seed=9
 
-#include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -44,6 +40,7 @@
 #include "src/telemetry/sampler.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/timeseries_export.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -55,71 +52,6 @@ using namespace dcc;
 std::FILE* g_note = stdout;
 
 #define NOTE(...) std::fprintf(g_note, __VA_ARGS__)
-
-// The `--name VALUE` pairs of one command line, in order. Every flag takes
-// a value; a repeated flag keeps each value (--set) and Get reads the last.
-struct Flags {
-  std::vector<std::pair<std::string, std::string>> given;
-
-  const char* Get(const char* name) const {
-    for (auto it = given.rbegin(); it != given.rend(); ++it) {
-      if (it->first == name) {
-        return it->second.c_str();
-      }
-    }
-    return nullptr;
-  }
-
-  std::vector<std::string> All(const char* name) const {
-    std::vector<std::string> values;
-    for (const auto& [flag, value] : given) {
-      if (flag == name) {
-        values.push_back(value);
-      }
-    }
-    return values;
-  }
-};
-
-// Parses argv[2..] against the command's flag names. An unknown flag, a stray
-// argument or a flag missing its value is reported by name (exit 2): a stale
-// command line must not silently run a different scenario.
-bool ParseFlags(int argc, char** argv, const std::vector<const char*>& known,
-                Flags* flags) {
-  for (int i = 2; i < argc; i += 2) {
-    const bool defined = std::any_of(known.begin(), known.end(), [&](const char* name) {
-      return std::strcmp(argv[i], name) == 0;
-    });
-    if (!defined) {
-      std::fprintf(stderr, "dcc_sim %s: unknown flag '%s' (see dcc_sim --help)\n",
-                   argv[1], argv[i]);
-      return false;
-    }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "dcc_sim %s: flag '%s' needs a value\n", argv[1],
-                   argv[i]);
-      return false;
-    }
-    flags->given.emplace_back(argv[i], argv[i + 1]);
-  }
-  return true;
-}
-
-// A number flag; the whole value must parse as a finite number.
-double FlagDouble(const Flags& flags, const char* name, double fallback) {
-  const char* text = flags.Get(name);
-  if (text == nullptr) {
-    return fallback;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(value)) {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", name, text);
-    std::exit(2);
-  }
-  return value;
-}
 
 void ApplyLogLevel(const Flags& flags) {
   const char* text = flags.Get("--log-level");
@@ -504,7 +436,7 @@ void PrintUsage(std::FILE* stream) {
       "  --trace-out FILE     dump the query-lifecycle trace to FILE ('-' for\n"
       "                       stdout); format per --trace-format\n"
       "  --trace-format F     trace dump format: 'jsonl' (default; one span\n"
-      "                       event per line, the dcc_trace input format) or\n"
+      "                       event per line, the dcc_why trace input) or\n"
       "                       'chrome' (trace-event JSON for chrome://tracing\n"
       "                       / Perfetto, spans grouped into causal trees)\n"
       "  --series-out FILE    sample per-channel time series over the run and\n"
@@ -578,7 +510,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   Flags flags;
-  if (!ParseFlags(argc, argv, command->flags, &flags)) {
+  if (!ParseFlags("dcc_sim", 2, argc, argv, command->flags, &flags)) {
     return 2;
   }
   // A data dump on stdout moves the narration to stderr, so the dump is

@@ -1,254 +1,265 @@
-// dcc_why — offline drop-cause forensics over dcc_sim audit dumps.
+// dcc_why — offline forensics over dcc_sim trace and audit dumps.
 //
-// Reads the JSONL decision-audit trail written by `dcc_sim ... --audit-out`
-// (src/telemetry/audit.h) and answers the operator question metrics and
-// traces leave open: *why* did this query die — which component decided,
-// against which limit, under what observed state. With a matching
-// `--trace-out` dump the audit records join the causal span trees, so the
-// breakdown separates attacker losses from benign collateral.
+// Answers the two questions an operator asks after an attack run. Over the
+// span dump of `dcc_sim ... --trace-out` it rebuilds the causal span trees:
+// where a query's latency went, which chain of sub-queries determined it,
+// and which clients amplify (the FF/CQ fingerprint from paper §2.2). Over
+// the decision-audit dump of `--audit-out` (src/telemetry/audit.h) it says
+// *why* a query died — which component decided, against which limit — and,
+// joined with a span dump, separates attacker losses from benign collateral.
 //
-//   dcc_why causes AUDIT.jsonl                 per-cause rollup table
-//   dcc_why clients AUDIT.jsonl [--top N]      per-client rollup, worst first
-//   dcc_why why AUDIT.jsonl QNAME|TRACEID      death narrative for one query
-//   dcc_why collateral AUDIT.jsonl --trace-file T.jsonl [--attackers A,B]
-//                                              benign-vs-attacker breakdown
-//   dcc_why coverage AUDIT.jsonl --trace-file T.jsonl [--min RATIO]
-//                                              failed-query cause coverage
-//   dcc_why check AUDIT.jsonl [--trace-file T.jsonl]
-//                                              validate a dump (CI gate)
+//   dcc_why summary T.jsonl              per-trace fan-out/latency table
+//   dcc_why top T.jsonl [--top N]        "top amplifiers" forensics report
+//   dcc_why tree T.jsonl --trace ID      ASCII causal tree of one trace
+//   dcc_why report T.jsonl --trace ID    stage-by-stage latency breakdown
+//   dcc_why chrome T.jsonl [--out F]     re-emit as Chrome trace-event JSON
+//   dcc_why causes A.jsonl               per-cause rollup table
+//   dcc_why clients A.jsonl [--top N]    per-client rollup, worst first
+//   dcc_why why A.jsonl QNAME|TRACEID    death narrative for one query
+//   dcc_why collateral A.jsonl --trace-file T.jsonl [--attackers A,B]
+//                                        benign-vs-attacker breakdown
+//   dcc_why coverage A.jsonl --trace-file T.jsonl [--min RATIO]
+//                                        failed-query cause coverage
+//   dcc_why check A.jsonl [--trace-file T.jsonl]
+//                                        validate dumps (CI gate)
 //
-// `check` (also spelled `--check`) verifies every line parses, every cause
-// names a known taxonomy entry, and every span coordinate either is the
-// client root span or resolves against the trace dump when one is given.
-// Read-only; links only the telemetry analysis layer and the JSON parser.
+// Lines are parsed by the readers beside their writers
+// (telemetry::ParseSpanJsonLine / ParseAuditJsonLine). Read-only; links
+// only the telemetry analysis layer and the JSON parser.
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iostream>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/ids.h"
-#include "src/common/json.h"
 #include "src/telemetry/audit.h"
+#include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/span_tree.h"
 #include "src/telemetry/trace.h"
+#include "tools/flags.h"
 
 namespace {
 
 using namespace dcc;
+using telemetry::AuditCauseName;
+using telemetry::AuditRecord;
+using telemetry::SpanEvent;
+using telemetry::SpanTree;
 
 // DNS SERVFAIL rcode as recorded in kResolverResponse span details; spelled
 // numerically so the tool keeps zero simulator dependencies.
 constexpr int32_t kServFailRcode = 2;
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-bool ReadAll(const char* path, std::string* out) {
-  std::FILE* f = std::strcmp(path, "-") == 0 ? stdin : std::fopen(path, "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "dcc_why: cannot open %s\n", path);
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  if (f != stdin) {
-    std::fclose(f);
-  }
-  return true;
-}
-
-// Audit record as loaded back from JSONL — the qname regains std::string
-// form and the cause keeps its dotted name so `check` can report unknown
-// causes without losing the original spelling.
-struct LoadedRecord {
-  Time at = 0;
-  telemetry::AuditCause cause = telemetry::AuditCause::kPolicerRateExceeded;
-  std::string cause_name;
-  bool cause_known = false;
-  HostAddress actor = 0;
-  HostAddress client = 0;
-  HostAddress channel = 0;
-  uint64_t trace_id = 0;
-  uint32_t span_id = 0;
-  uint32_t parent_span_id = 0;
-  double observed = 0;
-  double limit = 0;
-  std::string qname;
+// One command line: the dump, why's QNAME|TRACEID (else nullptr), flags.
+struct Args {
+  const char* dump = nullptr;
+  const char* target = nullptr;
+  Flags flags;
 };
-
-bool ParseRecordLine(const std::string& line, LoadedRecord* out,
-                     std::string* error) {
-  json::Value doc;
-  if (!json::Parse(line, &doc, error)) {
-    return false;
-  }
-  if (!doc.is_object()) {
-    *error = "not a JSON object";
-    return false;
-  }
-  out->cause_name = doc.String("cause");
-  if (out->cause_name.empty()) {
-    *error = "missing cause";
-    return false;
-  }
-  out->cause_known = telemetry::AuditCauseFromName(out->cause_name, &out->cause);
-  out->at = static_cast<Time>(doc.Number("ts_us"));
-  const std::string id_hex = doc.String("trace_id");
-  out->trace_id = std::strtoull(id_hex.c_str(), nullptr, 16);
-  out->span_id = static_cast<uint32_t>(doc.Number("span_id"));
-  out->parent_span_id = static_cast<uint32_t>(doc.Number("parent_span_id"));
-  out->observed = doc.Number("observed");
-  out->limit = doc.Number("limit");
-  out->qname = doc.String("qname");
-  HostAddress addr = kInvalidAddress;
-  if (ParseAddress(doc.String("actor"), &addr)) {
-    out->actor = addr;
-  }
-  addr = kInvalidAddress;
-  if (ParseAddress(doc.String("client"), &addr)) {
-    out->client = addr;
-  }
-  addr = kInvalidAddress;
-  if (ParseAddress(doc.String("channel"), &addr)) {
-    out->channel = addr;
-  }
-  return true;
-}
 
 struct LoadStats {
   size_t lines = 0;
-  size_t parsed = 0;
   size_t malformed = 0;
-  size_t unknown_cause = 0;
   std::string first_error;
 };
 
-std::vector<LoadedRecord> LoadRecords(const char* path, LoadStats* stats,
-                                      bool* ok) {
-  std::vector<LoadedRecord> records;
-  std::string text;
-  *ok = ReadAll(path, &text);
-  if (!*ok) {
-    return records;
-  }
-  size_t pos = 0;
-  size_t line_no = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string::npos) {
-      end = text.size();
+// Reads the JSONL dump at `path` ('-' for stdin) through `parse`, one line
+// at a time. Malformed lines are skipped, counted and the first one named
+// (also on stderr); false only when the file cannot be opened.
+template <typename Record>
+bool LoadDump(const char* path, bool (*parse)(std::string_view, Record*, std::string*),
+              std::vector<Record>* records, LoadStats* stats) {
+  std::ifstream file;
+  if (std::strcmp(path, "-") != 0) {
+    file.open(path);
+    if (!file) {
+      std::fprintf(stderr, "dcc_why: cannot open %s\n", path);
+      return false;
     }
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
+  }
+  std::istream& in = file.is_open() ? file : std::cin;
+  std::string line;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       continue;
     }
     ++stats->lines;
-    LoadedRecord record;
+    Record record;
     std::string error;
-    if (!ParseRecordLine(line, &record, &error)) {
-      ++stats->malformed;
-      if (stats->first_error.empty()) {
-        stats->first_error =
-            std::string(path) + ":" + std::to_string(line_no) + ": " + error;
+    if (!parse(line, &record, &error)) {
+      if (stats->malformed++ == 0) {
+        stats->first_error = std::string(path) + ":" + std::to_string(line_no) + ": " + error;
       }
       continue;
     }
-    if (!record.cause_known) {
-      ++stats->unknown_cause;
-      if (stats->first_error.empty()) {
-        stats->first_error = std::string(path) + ":" + std::to_string(line_no) +
-                             ": unknown cause '" + record.cause_name + "'";
-      }
-    }
-    ++stats->parsed;
-    records.push_back(std::move(record));
+    records->push_back(record);
   }
-  return records;
+  if (stats->malformed > 0) {
+    std::fprintf(stderr, "dcc_why: skipped %zu unparsable line(s) (%s)\n",
+                 stats->malformed, stats->first_error.c_str());
+  }
+  return true;
 }
 
-// Loads a --trace-out dump when --trace-file is given; empty vector + false
-// `present` otherwise. Reuses the audit parser's tolerance: unparsable span
-// lines are skipped (they fail `check` through the trace tool, not here).
-std::vector<telemetry::SpanEvent> LoadTraceFile(int argc, char** argv,
-                                                bool* present, bool* ok) {
-  std::vector<telemetry::SpanEvent> events;
-  *ok = true;
-  const char* path = FlagValue(argc, argv, "--trace-file");
-  *present = path != nullptr;
-  if (!*present) {
-    return events;
+// The audit dump named on the command line; false (exit 1) when unreadable
+// or empty.
+bool LoadRecords(const Args& args, std::vector<AuditRecord>* records) {
+  LoadStats stats;
+  if (!LoadDump(args.dump, telemetry::ParseAuditJsonLine, records, &stats)) {
+    return false;
   }
-  std::string text;
-  if (!ReadAll(path, &text)) {
-    *ok = false;
-    return events;
+  if (records->empty()) {
+    std::fprintf(stderr, "dcc_why: no audit records in %s\n", args.dump);
+    return false;
   }
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string::npos) {
-      end = text.size();
-    }
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
-    }
-    json::Value doc;
-    std::string error;
-    if (!json::Parse(line, &doc, &error) || !doc.is_object()) {
-      continue;
-    }
-    telemetry::SpanEvent event;
-    const std::string id_hex = doc.String("trace_id");
-    if (id_hex.empty()) {
-      continue;
-    }
-    event.trace_id = std::strtoull(id_hex.c_str(), nullptr, 16);
-    event.at = static_cast<Time>(doc.Number("ts_us"));
-    if (!telemetry::SpanKindFromName(doc.String("span"), &event.kind)) {
-      continue;
-    }
-    event.detail = static_cast<int32_t>(doc.Number("detail"));
-    event.span_id = static_cast<uint32_t>(
-        doc.Number("span_id", telemetry::kClientSpanId));
-    event.parent_span_id = static_cast<uint32_t>(doc.Number("parent_span_id"));
-    HostAddress addr = kInvalidAddress;
-    if (ParseAddress(doc.String("actor"), &addr)) {
-      event.actor = addr;
-    }
-    addr = kInvalidAddress;
-    if (ParseAddress(doc.String("peer"), &addr)) {
-      event.peer = addr;
-    }
-    events.push_back(event);
-  }
-  return events;
+  return true;
 }
+
+// The span dump named on the command line as causal trees, restricted to
+// --trace HEXID when given; false (exit 1) when nothing is left. A --trace
+// that is not a hex trace id exits 2 before anything is read.
+bool LoadTrees(const Args& args, std::vector<SpanTree>* trees) {
+  uint64_t filter = 0;  // 0: every trace.
+  if (const char* text = args.flags.Get("--trace");
+      text != nullptr && !telemetry::ParseTraceId(text, &filter)) {
+    std::fprintf(stderr, "--trace: expected a hex trace id, got '%s'\n", text);
+    std::exit(2);
+  }
+  std::vector<SpanEvent> events;
+  LoadStats stats;
+  if (!LoadDump(args.dump, telemetry::ParseSpanJsonLine, &events, &stats)) {
+    return false;
+  }
+  if (events.empty()) {
+    std::fprintf(stderr, "dcc_why: no span events in %s\n", args.dump);
+    return false;
+  }
+  for (SpanTree& tree : telemetry::BuildSpanTrees(events)) {
+    if (filter == 0 || tree.trace_id == filter) {
+      trees->push_back(std::move(tree));
+    }
+  }
+  if (trees->empty()) {
+    std::fprintf(stderr, "dcc_why: no matching traces\n");
+    return false;
+  }
+  return true;
+}
+
+// --top N: a whole, non-negative row count (exit 2 otherwise).
+size_t TopRows(const Flags& flags, size_t fallback) {
+  const double rows = FlagDouble(flags, "--top", static_cast<double>(fallback));
+  if (rows < 0 || rows != std::floor(rows)) {
+    std::fprintf(stderr, "--top: expected a whole number >= 0, got '%s'\n",
+                 flags.Get("--top"));
+    std::exit(2);
+  }
+  return static_cast<size_t>(std::min(rows, 1e9));  // Any dump has fewer rows.
+}
+
+// ---- trace commands ----------------------------------------------------------
+
+int RunSummary(const Args& args) {
+  std::vector<SpanTree> trees;
+  if (!LoadTrees(args, &trees)) {
+    return 1;
+  }
+  std::printf("%-18s %-12s %6s %7s %5s %8s %12s %s\n", "trace", "client",
+              "subq", "retries", "depth", "complete", "latency-us",
+              "critical-path");
+  for (const auto& tree : trees) {
+    const telemetry::TraceStats stats = telemetry::ComputeStats(tree);
+    std::string path;
+    for (size_t i = 0; i < stats.critical_path.size(); ++i) {
+      if (i > 0) {
+        path += ">";
+      }
+      path += std::to_string(stats.critical_path[i]);
+    }
+    std::printf("%016" PRIx64 "   %-12s %6zu %7zu %5d %8s %12" PRId64 " %s\n",
+                stats.trace_id, FormatAddress(stats.client).c_str(),
+                stats.subqueries, stats.retries, stats.max_depth,
+                stats.complete ? "yes" : "no",
+                static_cast<int64_t>(stats.latency), path.c_str());
+  }
+  std::printf("%zu trace(s)\n", trees.size());
+  return 0;
+}
+
+int RunTop(const Args& args) {
+  const size_t top_n = TopRows(args.flags, 10);
+  std::vector<SpanTree> trees;
+  if (!LoadTrees(args, &trees)) {
+    return 1;
+  }
+  const telemetry::AmplificationReport report = telemetry::Attribute(trees);
+  std::fputs(telemetry::RenderTopAmplifiers(report, top_n).c_str(), stdout);
+  return 0;
+}
+
+int RunTree(const Args& args) {
+  std::vector<SpanTree> trees;
+  if (!LoadTrees(args, &trees)) {
+    return 1;
+  }
+  for (const auto& tree : trees) {
+    std::fputs(telemetry::RenderTree(tree).c_str(), stdout);
+    std::fputs("\n", stdout);
+  }
+  return 0;
+}
+
+int RunReport(const Args& args) {
+  std::vector<SpanTree> trees;
+  if (!LoadTrees(args, &trees)) {
+    return 1;
+  }
+  for (const auto& tree : trees) {
+    std::fputs(telemetry::RenderBreakdown(tree).c_str(), stdout);
+  }
+  return 0;
+}
+
+int RunChrome(const Args& args) {
+  std::vector<SpanTree> trees;
+  if (!LoadTrees(args, &trees)) {
+    return 1;
+  }
+  const std::string out = telemetry::ExportChromeTrace(trees);
+  const char* path = args.flags.Get("--out");
+  if (path == nullptr || std::strcmp(path, "-") == 0) {
+    std::fputs(out.c_str(), stdout);
+    return 0;
+  }
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "dcc_why: cannot open %s for writing\n", path);
+    return 1;
+  }
+  std::fwrite(out.data(), 1, out.size(), f);
+  std::fclose(f);
+  std::fprintf(stderr, "dcc_why: %zu trace(s) -> %s\n", trees.size(), path);
+  return 0;
+}
+
+// ---- audit commands ----------------------------------------------------------
 
 // Parses --attackers a.b.c.d[,a.b.c.d...] into a set of host addresses.
-std::unordered_set<HostAddress> AttackerSet(int argc, char** argv) {
+std::unordered_set<HostAddress> AttackerSet(const Flags& flags) {
   std::unordered_set<HostAddress> attackers;
-  const char* text = FlagValue(argc, argv, "--attackers");
+  const char* text = flags.Get("--attackers");
   if (text == nullptr) {
     return attackers;
   }
@@ -274,9 +285,11 @@ std::unordered_set<HostAddress> AttackerSet(int argc, char** argv) {
   return attackers;
 }
 
-// ---- causes ----------------------------------------------------------------
-
-int RunCauses(const std::vector<LoadedRecord>& records) {
+int RunCauses(const Args& args) {
+  std::vector<AuditRecord> records;
+  if (!LoadRecords(args, &records)) {
+    return 1;
+  }
   struct CauseAgg {
     size_t count = 0;
     std::set<HostAddress> clients;
@@ -285,8 +298,8 @@ int RunCauses(const std::vector<LoadedRecord>& records) {
     std::string example;
   };
   std::map<std::string, CauseAgg> by_cause;
-  for (const LoadedRecord& record : records) {
-    CauseAgg& agg = by_cause[record.cause_name];
+  for (const AuditRecord& record : records) {
+    CauseAgg& agg = by_cause[AuditCauseName(record.cause)];
     if (agg.count == 0) {
       agg.first = record.at;
       agg.example = record.qname;
@@ -303,8 +316,7 @@ int RunCauses(const std::vector<LoadedRecord>& records) {
                    [](const auto& a, const auto& b) {
                      return a.second.count > b.second.count;
                    });
-  std::printf("%-28s %10s %8s %12s %12s  %s\n", "cause", "records", "clients",
-              "first-s", "last-s", "example");
+  std::printf("cause                           records  clients      first-s       last-s  example\n");
   for (const auto& [name, agg] : rows) {
     std::printf("%-28s %10zu %8zu %12.3f %12.3f  %s\n", name.c_str(),
                 agg.count, agg.clients.size(), ToSeconds(agg.first),
@@ -314,22 +326,21 @@ int RunCauses(const std::vector<LoadedRecord>& records) {
   return 0;
 }
 
-// ---- clients ---------------------------------------------------------------
-
-int RunClients(int argc, char** argv,
-               const std::vector<LoadedRecord>& records) {
-  const char* top_text = FlagValue(argc, argv, "--top");
-  const size_t top_n =
-      top_text != nullptr ? static_cast<size_t>(std::atoi(top_text)) : 20;
+int RunClients(const Args& args) {
+  const size_t top_n = TopRows(args.flags, 20);
+  std::vector<AuditRecord> records;
+  if (!LoadRecords(args, &records)) {
+    return 1;
+  }
   struct ClientAgg {
     size_t count = 0;
     std::map<std::string, size_t> causes;
   };
   std::map<HostAddress, ClientAgg> by_client;
-  for (const LoadedRecord& record : records) {
+  for (const AuditRecord& record : records) {
     ClientAgg& agg = by_client[record.client];
     ++agg.count;
-    ++agg.causes[record.cause_name];
+    ++agg.causes[AuditCauseName(record.cause)];
   }
   std::vector<std::pair<HostAddress, ClientAgg>> rows(by_client.begin(),
                                                       by_client.end());
@@ -364,20 +375,9 @@ int RunClients(int argc, char** argv,
   return 0;
 }
 
-// ---- why -------------------------------------------------------------------
-
-// True when `text` looks like a trace id as printed in the dumps: all hex,
-// at least 8 digits (qnames always contain dots/letters beyond hex).
-bool LooksLikeTraceId(const std::string& text) {
-  if (text.size() < 8 || text.size() > 16) {
-    return false;
-  }
-  return text.find_first_not_of("0123456789abcdefABCDEF") == std::string::npos;
-}
-
-void PrintRecord(const LoadedRecord& record) {
+void PrintRecord(const AuditRecord& record) {
   std::printf("  t=%10.3fs  %-26s actor=%-12s", ToSeconds(record.at),
-              record.cause_name.c_str(), FormatAddress(record.actor).c_str());
+              AuditCauseName(record.cause), FormatAddress(record.actor).c_str());
   if (record.client != 0) {
     std::printf(" client=%-12s", FormatAddress(record.client).c_str());
   }
@@ -389,26 +389,27 @@ void PrintRecord(const LoadedRecord& record) {
     std::printf(" trace=%016" PRIx64 " span=%u", record.trace_id,
                 record.span_id);
   }
-  if (!record.qname.empty()) {
-    std::printf(" qname=%s", record.qname.c_str());
+  if (record.qname[0] != '\0') {
+    std::printf(" qname=%s", record.qname);
   }
   std::printf("\n");
 }
 
-int RunWhy(int argc, char** argv, const std::vector<LoadedRecord>& records) {
-  if (argc < 4) {
-    std::fprintf(stderr, "dcc_why: why needs a QNAME or TRACEID argument\n");
-    return 2;
+int RunWhy(const Args& args) {
+  std::vector<AuditRecord> records;
+  if (!LoadRecords(args, &records)) {
+    return 1;
   }
-  const std::string target = argv[3];
-  const bool by_trace = LooksLikeTraceId(target);
-  const uint64_t trace_id =
-      by_trace ? std::strtoull(target.c_str(), nullptr, 16) : 0;
-  std::vector<const LoadedRecord*> matches;
-  for (const LoadedRecord& record : records) {
-    const bool hit = by_trace
-                         ? record.trace_id == trace_id
-                         : record.qname.find(target) != std::string::npos;
+  const std::string target = args.target;
+  // A trace id as the dumps print it has at least 8 hex digits; qnames
+  // always contain dots or letters beyond hex.
+  uint64_t trace_id = 0;
+  const bool by_trace = target.size() >= 8 && telemetry::ParseTraceId(target, &trace_id);
+  std::vector<const AuditRecord*> matches;
+  for (const AuditRecord& record : records) {
+    const bool hit = by_trace ? record.trace_id == trace_id
+                              : std::string_view(record.qname).find(target) !=
+                                    std::string_view::npos;
     if (hit) {
       matches.push_back(&record);
     }
@@ -421,25 +422,25 @@ int RunWhy(int argc, char** argv, const std::vector<LoadedRecord>& records) {
     return 1;
   }
   std::stable_sort(matches.begin(), matches.end(),
-                   [](const LoadedRecord* a, const LoadedRecord* b) {
+                   [](const AuditRecord* a, const AuditRecord* b) {
                      return a->at < b->at;
                    });
   std::printf("%zu decision(s) for %s '%s':\n", matches.size(),
               by_trace ? "trace" : "qname", target.c_str());
-  for (const LoadedRecord* record : matches) {
+  for (const AuditRecord* record : matches) {
     PrintRecord(*record);
   }
   // Per-client context: convictions/alarms against the clients involved,
   // even when those records carry no trace id (the policy decision that
   // killed later queries).
   std::unordered_set<HostAddress> clients;
-  for (const LoadedRecord* record : matches) {
+  for (const AuditRecord* record : matches) {
     if (record->client != 0) {
       clients.insert(record->client);
     }
   }
   bool header = false;
-  for (const LoadedRecord& record : records) {
+  for (const AuditRecord& record : records) {
     if (record.trace_id != 0 || record.client == 0 ||
         clients.find(record.client) == clients.end()) {
       continue;
@@ -453,7 +454,7 @@ int RunWhy(int argc, char** argv, const std::vector<LoadedRecord>& records) {
   return 0;
 }
 
-// ---- trace joining (collateral / coverage) ---------------------------------
+// ---- trace joining (collateral / coverage / check) ---------------------------
 
 struct TraceVerdict {
   bool failed = false;      // Dropped (incomplete) or answered SERVFAIL.
@@ -466,7 +467,7 @@ struct TraceVerdict {
 // rcode SERVFAIL. Only traces with a retained root are classified — a
 // ring-evicted head leaves failure unknowable offline.
 std::unordered_map<uint64_t, TraceVerdict> ClassifyTraces(
-    const std::vector<telemetry::SpanTree>& trees) {
+    const std::vector<SpanTree>& trees) {
   std::unordered_map<uint64_t, TraceVerdict> verdicts;
   for (const auto& tree : trees) {
     if (tree.Root() == nullptr) {
@@ -489,20 +490,26 @@ std::unordered_map<uint64_t, TraceVerdict> ClassifyTraces(
   return verdicts;
 }
 
-int RunCollateral(int argc, char** argv,
-                  const std::vector<LoadedRecord>& records) {
-  bool trace_present = false;
-  bool trace_ok = false;
-  const std::vector<telemetry::SpanEvent> events =
-      LoadTraceFile(argc, argv, &trace_present, &trace_ok);
-  if (!trace_present) {
-    std::fprintf(stderr, "dcc_why: collateral requires --trace-file\n");
-    return 2;
+// The --trace-file span dump, which `command` cannot do without (exit 2).
+const char* RequiredTraceFile(const Args& args, const char* command) {
+  const char* path = args.flags.Get("--trace-file");
+  if (path == nullptr) {
+    std::fprintf(stderr, "dcc_why: %s requires --trace-file\n", command);
+    std::exit(2);
   }
-  if (!trace_ok) {
+  return path;
+}
+
+int RunCollateral(const Args& args) {
+  const char* trace_path = RequiredTraceFile(args, "collateral");
+  const std::unordered_set<HostAddress> attackers = AttackerSet(args.flags);
+  std::vector<AuditRecord> records;
+  std::vector<SpanEvent> events;
+  LoadStats trace_stats;
+  if (!LoadRecords(args, &records) ||
+      !LoadDump(trace_path, telemetry::ParseSpanJsonLine, &events, &trace_stats)) {
     return 1;
   }
-  const std::unordered_set<HostAddress> attackers = AttackerSet(argc, argv);
   const std::unordered_map<uint64_t, TraceVerdict> verdicts =
       ClassifyTraces(telemetry::BuildSpanTrees(events));
 
@@ -513,8 +520,8 @@ int RunCollateral(int argc, char** argv,
   };
   SideAgg benign;
   SideAgg attacker;
-  std::unordered_map<uint64_t, std::vector<const LoadedRecord*>> by_trace;
-  for (const LoadedRecord& record : records) {
+  std::unordered_map<uint64_t, std::vector<const AuditRecord*>> by_trace;
+  for (const AuditRecord& record : records) {
     if (record.trace_id != 0) {
       by_trace[record.trace_id].push_back(&record);
     }
@@ -531,8 +538,8 @@ int RunCollateral(int argc, char** argv,
       continue;
     }
     ++side.audited_traces;
-    for (const LoadedRecord* record : it->second) {
-      ++side.causes[record->cause_name];
+    for (const AuditRecord* record : it->second) {
+      ++side.causes[AuditCauseName(record->cause)];
     }
   }
   auto print_side = [](const char* label, const SideAgg& side) {
@@ -557,24 +564,21 @@ int RunCollateral(int argc, char** argv,
   return 0;
 }
 
-int RunCoverage(int argc, char** argv,
-                const std::vector<LoadedRecord>& records) {
-  bool trace_present = false;
-  bool trace_ok = false;
-  const std::vector<telemetry::SpanEvent> events =
-      LoadTraceFile(argc, argv, &trace_present, &trace_ok);
-  if (!trace_present) {
-    std::fprintf(stderr, "dcc_why: coverage requires --trace-file\n");
-    return 2;
-  }
-  if (!trace_ok) {
+int RunCoverage(const Args& args) {
+  const char* trace_path = RequiredTraceFile(args, "coverage");
+  const double min_ratio = FlagDouble(args.flags, "--min", 0);
+  std::vector<AuditRecord> records;
+  std::vector<SpanEvent> events;
+  LoadStats trace_stats;
+  if (!LoadRecords(args, &records) ||
+      !LoadDump(trace_path, telemetry::ParseSpanJsonLine, &events, &trace_stats)) {
     return 1;
   }
   const std::unordered_map<uint64_t, TraceVerdict> verdicts =
       ClassifyTraces(telemetry::BuildSpanTrees(events));
   std::unordered_set<uint64_t> audited_traces;
   std::unordered_set<HostAddress> audited_clients;
-  for (const LoadedRecord& record : records) {
+  for (const AuditRecord& record : records) {
     if (record.trace_id != 0) {
       audited_traces.insert(record.trace_id);
     }
@@ -585,6 +589,7 @@ int RunCoverage(int argc, char** argv,
   size_t failed = 0;
   size_t covered_direct = 0;
   size_t covered_client = 0;
+  std::vector<uint64_t> uncovered;
   for (const auto& [trace_id, verdict] : verdicts) {
     if (!verdict.failed) {
       continue;
@@ -596,6 +601,8 @@ int RunCoverage(int argc, char** argv,
       // No per-query record, but a client-level decision (conviction,
       // policer policy) explains the death indirectly.
       ++covered_client;
+    } else {
+      uncovered.push_back(trace_id);
     }
   }
   const size_t covered = covered_direct + covered_client;
@@ -605,24 +612,32 @@ int RunCoverage(int argc, char** argv,
   std::printf("  with a per-query cause chain:   %zu\n", covered_direct);
   std::printf("  with a client-level cause only: %zu\n", covered_client);
   std::printf("coverage: %.4f\n", ratio);
-  const char* min_text = FlagValue(argc, argv, "--min");
-  if (min_text != nullptr && ratio < std::atof(min_text)) {
+  std::sort(uncovered.begin(), uncovered.end());
+  for (uint64_t trace_id : uncovered) {
+    std::printf("  no cause: trace %016" PRIx64 "\n", trace_id);
+  }
+  if (ratio < min_ratio) {
     std::fprintf(stderr, "dcc_why: coverage %.4f below --min %s\n", ratio,
-                 min_text);
+                 args.flags.Get("--min"));
     return 1;
   }
   return 0;
 }
 
-// ---- check -----------------------------------------------------------------
-
-int RunCheck(int argc, char** argv, const std::vector<LoadedRecord>& records,
-             const LoadStats& stats) {
-  bool trace_present = false;
-  bool trace_ok = false;
-  const std::vector<telemetry::SpanEvent> events =
-      LoadTraceFile(argc, argv, &trace_present, &trace_ok);
-  if (!trace_ok) {
+// Validates the audit dump (every line parses with a taxonomy cause, every
+// span coordinate is the client root or resolves) and, with --trace-file,
+// the span dump it joins against (every line parses).
+int RunCheck(const Args& args) {
+  std::vector<AuditRecord> records;
+  LoadStats stats;
+  if (!LoadDump(args.dump, telemetry::ParseAuditJsonLine, &records, &stats)) {
+    return 1;
+  }
+  const char* trace_path = args.flags.Get("--trace-file");
+  std::vector<SpanEvent> events;
+  LoadStats trace_stats;
+  if (trace_path != nullptr &&
+      !LoadDump(trace_path, telemetry::ParseSpanJsonLine, &events, &trace_stats)) {
     return 1;
   }
   size_t span_zero = 0;         // trace_id set but span_id == 0.
@@ -633,7 +648,7 @@ int RunCheck(int argc, char** argv, const std::vector<LoadedRecord>& records,
                                 // ring eviction can eat whole traces).
   std::unordered_map<uint64_t, std::unordered_set<uint32_t>> spans;
   std::unordered_set<uint64_t> damaged;  // Traces with eviction evidence.
-  if (trace_present) {
+  if (trace_path != nullptr) {
     for (const auto& event : events) {
       spans[event.trace_id].insert(event.span_id);
     }
@@ -647,7 +662,7 @@ int RunCheck(int argc, char** argv, const std::vector<LoadedRecord>& records,
       }
     }
   }
-  for (const LoadedRecord& record : records) {
+  for (const AuditRecord& record : records) {
     if (record.trace_id == 0) {
       continue;  // Client/channel-level decision; no span to resolve.
     }
@@ -658,7 +673,7 @@ int RunCheck(int argc, char** argv, const std::vector<LoadedRecord>& records,
     if (record.span_id == telemetry::kClientSpanId) {
       continue;  // Root span: always resolvable by construction.
     }
-    if (trace_present) {
+    if (trace_path != nullptr) {
       auto it = spans.find(record.trace_id);
       if (it == spans.end()) {
         ++trace_missing;
@@ -680,21 +695,24 @@ int RunCheck(int argc, char** argv, const std::vector<LoadedRecord>& records,
     span_evicted += span_unresolved;
     span_unresolved = 0;
   }
-  const bool failed = stats.malformed > 0 || stats.unknown_cause > 0 ||
+  const bool failed = stats.malformed > 0 || trace_stats.malformed > 0 ||
                       span_zero > 0 || span_unresolved > 0;
-  std::printf("records: %zu parsed / %zu lines\n", stats.parsed, stats.lines);
+  std::printf("records: %zu parsed / %zu lines\n", records.size(), stats.lines);
   std::printf("malformed lines:     %zu\n", stats.malformed);
-  std::printf("unknown causes:      %zu\n", stats.unknown_cause);
   std::printf("zero span ids:       %zu\n", span_zero);
-  if (trace_present) {
+  if (trace_path != nullptr) {
     std::printf("unresolved span ids: %zu\n", span_unresolved);
     std::printf("evicted span ids:    %zu (eviction; not an error)\n",
                 span_evicted);
     std::printf("traces not in dump:  %zu (eviction; not an error)\n",
                 trace_missing);
+    std::printf("malformed span lines: %zu of %zu\n", trace_stats.malformed,
+                trace_stats.lines);
   }
-  if (!stats.first_error.empty()) {
-    std::printf("first error: %s\n", stats.first_error.c_str());
+  const std::string& first_error =
+      stats.first_error.empty() ? trace_stats.first_error : stats.first_error;
+  if (!first_error.empty()) {
+    std::printf("first error: %s\n", first_error.c_str());
   }
   std::printf("%s\n", failed ? "CHECK FAILED" : "CHECK OK");
   return failed ? 1 : 0;
@@ -702,13 +720,29 @@ int RunCheck(int argc, char** argv, const std::vector<LoadedRecord>& records,
 
 void PrintUsage(std::FILE* stream) {
   std::fprintf(stream,
-      "usage: dcc_why COMMAND AUDIT.jsonl [options]\n"
+      "usage: dcc_why COMMAND DUMP.jsonl [options]\n"
       "\n"
-      "Drop-cause forensics over `dcc_sim ... --audit-out` JSONL dumps: why\n"
-      "each query died, which limit tripped, and who ate the collateral.\n"
-      "AUDIT.jsonl may be '-' for stdin.\n"
+      "Offline forensics over dcc_sim dumps. The trace commands read a\n"
+      "`--trace-out` span dump: they rebuild the causal span trees and\n"
+      "attribute upstream amplification to the clients that caused it. The\n"
+      "audit commands read an `--audit-out` dump: why each query died, which\n"
+      "limit tripped, and who ate the collateral. DUMP.jsonl may be '-' for\n"
+      "stdin. A flag the command does not take is an error (exit 2).\n"
       "\n"
-      "commands:\n"
+      "trace commands (span dump):\n"
+      "  summary     one line per trace: sub-query fan-out, retries, causal\n"
+      "              depth, completion, client latency, critical-path span ids\n"
+      "  top         the \"top amplifiers\" report: clients ranked by mean\n"
+      "              upstream queries caused per request, with the cause mix\n"
+      "              (qmin/ns/cname) that fingerprints FF and CQ attacks, and\n"
+      "              the busiest resolver->auth channels\n"
+      "  tree        ASCII rendering of each causal span tree\n"
+      "  report      stage-by-stage latency breakdown per trace: every span\n"
+      "              event with offset/delta, then the critical path\n"
+      "  chrome      convert the dump to Chrome trace-event JSON for\n"
+      "              chrome://tracing or ui.perfetto.dev\n"
+      "\n"
+      "audit commands (audit dump):\n"
       "  causes      per-cause rollup: record count, distinct clients,\n"
       "              active window, example qname\n"
       "  clients     per-client rollup ranked by records, with each\n"
@@ -719,18 +753,44 @@ void PrintUsage(std::FILE* stream) {
       "  collateral  benign-vs-attacker breakdown of failed queries\n"
       "              (requires --trace-file; --attackers marks the guilty)\n"
       "  coverage    fraction of failed queries (dropped or SERVFAIL in the\n"
-      "              trace dump) with an audited cause chain\n"
-      "  check       validate a dump: every line parses, every cause is a\n"
-      "              known taxonomy entry, every span id is the client root\n"
-      "              or resolves against --trace-file. Exit 1 on failure.\n"
-      "              (Also spelled `dcc_why --check AUDIT.jsonl`.)\n"
+      "              trace dump) with an audited cause chain, then the trace\n"
+      "              ids of failed queries with no cause at all\n"
+      "  check       validate the dumps: every audit line parses with a\n"
+      "              known taxonomy cause, every span id is the client root\n"
+      "              or resolves against --trace-file, and every line of\n"
+      "              --trace-file parses. Exit 1 on failure.\n"
       "\n"
       "options:\n"
+      "  --trace HEXID      trace commands: only this trace id (as printed\n"
+      "                     by summary)\n"
+      "  --top N            rows in the `top` (default 10) or `clients`\n"
+      "                     (default 20) table\n"
+      "  --out FILE         chrome: write to FILE instead of stdout\n"
       "  --trace-file FILE  matching --trace-out dump to join span trees\n"
       "  --attackers A,B    attacker client addresses for `collateral`\n"
-      "  --top N            rows in the `clients` table (default 20)\n"
       "  --min RATIO        coverage: fail (exit 1) below this ratio\n");
 }
+
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<const char*> flags;
+  bool takes_target = false;  // why: QNAME|TRACEID after the dump.
+};
+
+const Command kCommands[] = {
+    {"summary", RunSummary, {"--trace"}},
+    {"top", RunTop, {"--trace", "--top"}},
+    {"tree", RunTree, {"--trace"}},
+    {"report", RunReport, {"--trace"}},
+    {"chrome", RunChrome, {"--trace", "--out"}},
+    {"causes", RunCauses, {}},
+    {"clients", RunClients, {"--top"}},
+    {"why", RunWhy, {}, true},
+    {"collateral", RunCollateral, {"--trace-file", "--attackers"}},
+    {"coverage", RunCoverage, {"--trace-file", "--min"}},
+    {"check", RunCheck, {"--trace-file"}},
+};
 
 }  // namespace
 
@@ -745,43 +805,30 @@ int main(int argc, char** argv) {
     PrintUsage(stderr);
     return 2;
   }
-  std::string command = argv[1];
-  if (command == "--check") {
-    command = "check";
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (std::strcmp(argv[1], candidate.name) == 0) {
+      command = &candidate;
+    }
   }
-  LoadStats stats;
-  bool ok = false;
-  const std::vector<LoadedRecord> records = LoadRecords(argv[2], &stats, &ok);
-  if (!ok) {
-    return 1;
+  if (command == nullptr) {
+    std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    PrintUsage(stderr);
+    return 2;
   }
-  if (command == "check") {
-    return RunCheck(argc, argv, records, stats);
+  Args args;
+  args.dump = argv[2];
+  if (command->takes_target) {
+    if (argc < 4) {
+      std::fprintf(stderr, "dcc_why: %s needs a QNAME or TRACEID argument\n",
+                   command->name);
+      return 2;
+    }
+    args.target = argv[3];
   }
-  if (stats.malformed > 0) {
-    std::fprintf(stderr, "dcc_why: skipped %zu unparsable line(s) (%s)\n",
-                 stats.malformed, stats.first_error.c_str());
+  if (!ParseFlags("dcc_why", command->takes_target ? 4 : 3, argc, argv,
+                  command->flags, &args.flags)) {
+    return 2;
   }
-  if (records.empty()) {
-    std::fprintf(stderr, "dcc_why: no audit records in %s\n", argv[2]);
-    return 1;
-  }
-  if (command == "causes") {
-    return RunCauses(records);
-  }
-  if (command == "clients") {
-    return RunClients(argc, argv, records);
-  }
-  if (command == "why") {
-    return RunWhy(argc, argv, records);
-  }
-  if (command == "collateral") {
-    return RunCollateral(argc, argv, records);
-  }
-  if (command == "coverage") {
-    return RunCoverage(argc, argv, records);
-  }
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  PrintUsage(stderr);
-  return 2;
+  return command->run(args);
 }
