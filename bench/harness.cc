@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <cctype>
@@ -57,6 +58,10 @@ int64_t CurrentRssKb() {
 }
 
 bool ResetPeakRss() {
+  // Hand heap pages earlier benches freed back to the kernel first: a bench
+  // that reuses them would otherwise grow by less than it allocates, so its
+  // delta would depend on what ran before it.
+  malloc_trim(0);
   std::ofstream clear_refs("/proc/self/clear_refs");
   if (!clear_refs) {
     return false;

@@ -83,8 +83,9 @@ int64_t PeakRssKb();
 // unavailable.
 int64_t CurrentRssKb();
 
-// Resets the kernel's peak-RSS watermark (VmHWM) to the current RSS by
-// writing "5" to /proc/self/clear_refs. Returns false when the kernel does
+// Returns freed heap to the kernel (malloc_trim) and resets the kernel's
+// peak-RSS watermark (VmHWM) to the current RSS by writing "5" to
+// /proc/self/clear_refs. Returns false when the kernel does
 // not support it; PeakRssKb() then reports the process-cumulative peak and
 // per-bench deltas degrade to max(0, peak - rss_at_bench_start).
 bool ResetPeakRss();

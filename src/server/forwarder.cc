@@ -14,7 +14,8 @@ Forwarder::Forwarder(Transport& transport, ForwarderConfig config, uint64_t seed
       config_(config),
       rng_(seed),
       cache_(config.cache_max_entries, config.serve_stale ? config.max_stale : 0),
-      tracker_(config.upstream, seed ^ 0x666f7277ULL) {}
+      tracker_(config.upstream, seed ^ 0x666f7277ULL),
+      pending_(transport.loop(), /*first_port=*/2048) {}
 
 void Forwarder::AddUpstream(HostAddress resolver) { upstreams_.push_back(resolver); }
 
@@ -44,7 +45,7 @@ void Forwarder::AttachAudit(telemetry::DecisionAuditLog* audit) {
 }
 
 void Forwarder::CrashReset() {
-  pending_.clear();
+  pending_.Clear();
   cache_ = DnsCache(config_.cache_max_entries,
                     config_.serve_stale ? config_.max_stale : 0);
 }
@@ -63,19 +64,6 @@ Duration Forwarder::AttemptTimeout(HostAddress upstream, int attempt) {
     timeout *= 1.0 + (2.0 * rng_.NextDouble() - 1.0) * config_.retry_jitter;
   }
   return std::max<Duration>(static_cast<Duration>(timeout), kMillisecond);
-}
-
-uint16_t Forwarder::AllocatePort() {
-  for (int attempts = 0; attempts < 65536; ++attempts) {
-    const uint16_t port = next_port_++;
-    if (next_port_ == 0) {
-      next_port_ = 2048;
-    }
-    if (port >= 1024 && port != kDnsPort && !pending_.contains(port)) {
-      return port;
-    }
-  }
-  return 1023;
 }
 
 void Forwarder::RespondToClient(const Pending& pending, Message response) {
@@ -151,8 +139,8 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
         return;
       }
     }
-    const uint16_t port = AllocatePort();
-    Pending& pending = pending_[port];
+    const uint16_t port = pending_.AllocatePort();
+    Pending& pending = pending_.Insert(port);
     pending.client = dgram.src;
     pending.local_port = dgram.dst.port;
     pending.query = std::move(*decoded);
@@ -163,11 +151,11 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
   }
 
   if (decoded->IsResponse()) {
-    auto it = pending_.find(dgram.dst.port);
-    if (it == pending_.end()) {
+    Pending* found = pending_.Find(dgram.dst.port);
+    if (found == nullptr) {
       return;
     }
-    Pending& pending = it->second;
+    Pending& pending = *found;
     if (decoded->header.id != pending.query.header.id ||
         decoded->question.empty() || !(decoded->Q().qname == pending.query.Q().qname)) {
       return;
@@ -193,9 +181,7 @@ void Forwarder::HandleDatagram(const Datagram& dgram) {
       }
     }
     Message response = std::move(*decoded);
-    Pending done = std::move(pending);
-    pending_.erase(dgram.dst.port);
-    RespondToClient(done, std::move(response));
+    RespondToClient(pending_.Take(dgram.dst.port), std::move(response));
   }
 }
 
@@ -244,15 +230,9 @@ void Forwarder::FailPending(Pending done, telemetry::AuditCause cause,
 }
 
 void Forwarder::ForwardQuery(uint16_t port) {
-  auto it = pending_.find(port);
-  if (it == pending_.end()) {
-    return;
-  }
-  Pending& pending = it->second;
+  Pending& pending = *pending_.Find(port);
   if (pending.attempts_left <= 0) {
-    Pending done = std::move(pending);
-    pending_.erase(port);
-    FailPending(std::move(done),
+    FailPending(pending_.Take(port),
                 telemetry::AuditCause::kForwarderAttemptsExhausted,
                 config_.upstream_attempts, config_.upstream_attempts);
     return;
@@ -274,15 +254,12 @@ void Forwarder::ForwardQuery(uint16_t port) {
       }
     }
     if (!found_live && config_.serve_stale) {
-      Pending done = std::move(pending);
-      pending_.erase(port);
-      FailPending(std::move(done), telemetry::AuditCause::kForwarderNoUpstreams,
+      FailPending(pending_.Take(port), telemetry::AuditCause::kForwarderNoUpstreams,
                   /*observed=*/0, /*limit=*/1);
       return;
     }
   }
   --pending.attempts_left;
-  pending.generation = next_generation_++;
   const HostAddress upstream = upstreams_[slot];
   ++pending.upstream_index;
   pending.last_upstream = upstream;
@@ -304,22 +281,11 @@ void Forwarder::ForwardQuery(uint16_t port) {
   transport_.Send(port, Endpoint{upstream, kDnsPort}, pending.upstream_wire);
   ++queries_sent_;
 
-  const uint64_t generation = pending.generation;
-  transport_.loop().ScheduleAfter(AttemptTimeout(upstream, attempt),
-                                  "forwarder.timeout", [this, port, generation]() {
-                                    OnTimeout(port, generation);
-                                  });
-}
-
-void Forwarder::OnTimeout(uint16_t port, uint64_t generation) {
-  auto it = pending_.find(port);
-  if (it == pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  if (it->second.last_upstream != kInvalidAddress) {
-    tracker_.OnTimeout(it->second.last_upstream, transport_.now());
-  }
-  ForwardQuery(port);
+  pending_.Arm(port, AttemptTimeout(upstream, attempt), "forwarder.timeout",
+               [this, port, upstream]() {
+                 tracker_.OnTimeout(upstream, transport_.now());
+                 ForwardQuery(port);
+               });
 }
 
 size_t Forwarder::MemoryFootprint() const {

@@ -9,10 +9,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/flat_map.h"
 #include "src/common/rng.h"
 #include "src/dns/message.h"
 #include "src/server/cache.h"
+#include "src/server/pending_queries.h"
 #include "src/server/transport.h"
 #include "src/server/upstream_tracker.h"
 #include "src/telemetry/audit.h"
@@ -80,7 +80,6 @@ class Forwarder : public DatagramHandler, public CrashResettable {
     Message query;
     int attempts_left = 0;
     size_t upstream_index = 0;
-    uint64_t generation = 0;
     HostAddress last_upstream = kInvalidAddress;
     Time sent_at = 0;
     int attempt = 0;  // Transmissions already made (0 before the first).
@@ -90,7 +89,6 @@ class Forwarder : public DatagramHandler, public CrashResettable {
   };
 
   void ForwardQuery(uint16_t port);
-  void OnTimeout(uint16_t port, uint64_t generation);
   void RespondToClient(const Pending& pending, Message response);
   // Answers `pending` from a stale cache entry (TTL capped) or SERVFAIL.
   // `cause` and the observed/limit pair describe why the query is being
@@ -100,18 +98,14 @@ class Forwarder : public DatagramHandler, public CrashResettable {
                    double limit);
   Duration AttemptTimeout(HostAddress upstream, int attempt);
 
-  uint16_t AllocatePort();
-
   Transport& transport_;
   ForwarderConfig config_;
   Rng rng_;
   DnsCache cache_;
   UpstreamTracker tracker_;
   std::vector<HostAddress> upstreams_;
-  FlatMap<uint16_t, Pending> pending_;
+  PendingQueries<Pending> pending_;
   size_t next_upstream_ = 0;
-  uint16_t next_port_ = 2048;
-  uint64_t next_generation_ = 1;
 
   uint64_t requests_received_ = 0;
   uint64_t responses_sent_ = 0;

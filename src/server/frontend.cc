@@ -42,7 +42,9 @@ FleetFrontend::FleetFrontend(Transport& transport, FrontendConfig config,
       rng_(seed ^ 0x66726f6eULL),
       tracker_(config.upstream, seed ^ 0x666c6565ULL),
       resteer_budget_(config.resteer_budget_qps, config.resteer_budget_burst,
-                      transport.now()) {}
+                      transport.now()),
+      pending_(transport.loop(), /*first_port=*/2048),
+      probe_pending_(transport.loop(), /*first_port=*/2048) {}
 
 void FleetFrontend::AddMember(HostAddress member) {
   members_.push_back(member);
@@ -58,39 +60,39 @@ void FleetFrontend::Start() {
   ArmTimers();
 }
 
-void FleetFrontend::ArmTimers() {
-  for (CancelToken& timer : probe_timers_) {
-    timer.Cancel();
+void FleetFrontend::CancelTimers() {
+  for (TimerId timer : probe_timers_) {
+    transport_.loop().Cancel(timer);
   }
   probe_timers_.clear();
-  rotation_timer_.Cancel();
+  transport_.loop().Cancel(rotation_timer_);
+}
+
+void FleetFrontend::ArmTimers() {
+  CancelTimers();
   if (config_.health_checks && config_.probe_interval > 0) {
     for (size_t i = 0; i < members_.size(); ++i) {
       // Stagger the first round so a large fleet does not probe in lockstep.
       const Duration offset = static_cast<Duration>(
           config_.probe_interval * (i + 1) / (members_.size() + 1));
-      probe_timers_.push_back(transport_.loop().ScheduleCancelableAfter(
+      probe_timers_.push_back(transport_.loop().ScheduleAfter(
           offset, "frontend.probe", [this, i]() { SendProbe(i); }));
     }
   }
   if (config_.rotation_period > 0) {
-    rotation_timer_ = transport_.loop().ScheduleCancelableAfter(
+    rotation_timer_ = transport_.loop().ScheduleAfter(
         config_.rotation_period, "frontend.rotate",
         [this]() { OnRotationTick(); });
   }
 }
 
 void FleetFrontend::CrashReset() {
-  pending_.clear();
-  probe_pending_.clear();
+  pending_.Clear();
+  probe_pending_.Clear();
   resteer_budget_ = TokenBucket(config_.resteer_budget_qps,
                                 config_.resteer_budget_burst, transport_.now());
   // A crashed frontend stops probing and rotating; CrashRestart re-arms.
-  for (CancelToken& timer : probe_timers_) {
-    timer.Cancel();
-  }
-  probe_timers_.clear();
-  rotation_timer_.Cancel();
+  CancelTimers();
 }
 
 void FleetFrontend::CrashRestart() {
@@ -253,14 +255,14 @@ HostAddress FleetFrontend::PickMember(const Name& qname, Time now) {
     }
     case SteeringPolicy::kLeastLoaded: {
       std::vector<uint64_t> outstanding(members_.size(), 0);
-      for (const auto& [port, pending] : pending_) {
+      pending_.ForEach([&](uint16_t, const Pending& pending) {
         for (size_t i = 0; i < members_.size(); ++i) {
           if (members_[i] == pending.member) {
             ++outstanding[i];
             break;
           }
         }
-      }
+      });
       size_t best = eligible.front();
       uint64_t best_load = std::numeric_limits<uint64_t>::max();
       for (size_t index : eligible) {
@@ -290,20 +292,6 @@ Duration FleetFrontend::AttemptTimeout(HostAddress member, int attempt) {
     timeout *= 1.0 + (2.0 * rng_.NextDouble() - 1.0) * config_.retry_jitter;
   }
   return std::max<Duration>(static_cast<Duration>(timeout), kMillisecond);
-}
-
-uint16_t FleetFrontend::AllocatePort() {
-  for (int attempts = 0; attempts < 65536; ++attempts) {
-    const uint16_t port = next_port_++;
-    if (next_port_ == 0) {
-      next_port_ = 2048;
-    }
-    if (port >= 1024 && port != kDnsPort && !pending_.contains(port) &&
-        !probe_pending_.contains(port)) {
-      return port;
-    }
-  }
-  return 1023;
 }
 
 void FleetFrontend::RespondToClient(const Pending& pending, Message response) {
@@ -408,8 +396,8 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
       ++responses_sent_;
       return;
     }
-    const uint16_t port = AllocatePort();
-    Pending& pending = pending_[port];
+    const uint16_t port = pending_.AllocatePort(&probe_pending_);
+    Pending& pending = pending_.Insert(port);
     pending.client = dgram.src;
     pending.local_port = dgram.dst.port;
     pending.query = std::move(*decoded);
@@ -419,24 +407,23 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
   }
 
   if (decoded->IsResponse()) {
-    if (auto probe_it = probe_pending_.find(dgram.dst.port);
-        probe_it != probe_pending_.end()) {
-      const PendingProbe probe = probe_it->second;
-      if (decoded->header.id != probe.query_id || dgram.src.addr != probe.member) {
+    if (const PendingProbe* found = probe_pending_.Find(dgram.dst.port);
+        found != nullptr) {
+      if (decoded->header.id != found->query_id || dgram.src.addr != found->member) {
         return;
       }
-      probe_pending_.erase(dgram.dst.port);
+      const PendingProbe probe = probe_pending_.Take(dgram.dst.port);
       // Any probe answer counts as liveness; it also clears an active
       // hold-down (recovery) through the tracker.
       tracker_.OnResponse(probe.member, transport_.now() - probe.sent_at,
                           transport_.now());
       return;
     }
-    auto it = pending_.find(dgram.dst.port);
-    if (it == pending_.end()) {
+    Pending* found = pending_.Find(dgram.dst.port);
+    if (found == nullptr) {
       return;
     }
-    Pending& pending = it->second;
+    Pending& pending = *found;
     if (decoded->header.id != pending.query.header.id ||
         decoded->question.empty() ||
         !(decoded->Q().qname == pending.query.Q().qname)) {
@@ -451,22 +438,14 @@ void FleetFrontend::HandleDatagram(const Datagram& dgram) {
           static_cast<double>(transport_.now() - pending.first_sent_at));
     }
     Message response = std::move(*decoded);
-    Pending done = std::move(pending);
-    pending_.erase(dgram.dst.port);
-    RespondToClient(done, std::move(response));
+    RespondToClient(pending_.Take(dgram.dst.port), std::move(response));
   }
 }
 
 void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
-  auto it = pending_.find(port);
-  if (it == pending_.end()) {
-    return;
-  }
-  Pending& pending = it->second;
+  Pending& pending = *pending_.Find(port);
   if (pending.attempts_left <= 0) {
-    Pending done = std::move(pending);
-    pending_.erase(port);
-    FailPending(std::move(done),
+    FailPending(pending_.Take(port),
                 telemetry::AuditCause::kFrontendAttemptsExhausted,
                 static_cast<double>(config_.max_attempts),
                 static_cast<double>(config_.max_attempts));
@@ -481,16 +460,13 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
       if (resteer_denied_counter_ != nullptr) {
         resteer_denied_counter_->Inc();
       }
-      Pending done = std::move(pending);
-      pending_.erase(port);
-      FailPending(std::move(done), telemetry::AuditCause::kFrontendBudgetDenied,
+      FailPending(pending_.Take(port), telemetry::AuditCause::kFrontendBudgetDenied,
                   /*observed=*/0, config_.resteer_budget_burst);
       return;
     }
     ++resteers_;
   }
   --pending.attempts_left;
-  pending.generation = next_generation_++;
   const HostAddress member = PickMember(pending.query.Q().qname, now);
   pending.member = member;
   pending.sent_at = now;
@@ -519,21 +495,11 @@ void FleetFrontend::RelayQuery(uint16_t port, bool is_resteer) {
   transport_.Send(port, Endpoint{member, kDnsPort}, pending.wire);
   ++queries_sent_;
 
-  const uint64_t generation = pending.generation;
-  transport_.loop().ScheduleAfter(
-      AttemptTimeout(member, attempt), "frontend.timeout",
-      [this, port, generation]() { OnRelayTimeout(port, generation); });
-}
-
-void FleetFrontend::OnRelayTimeout(uint16_t port, uint64_t generation) {
-  auto it = pending_.find(port);
-  if (it == pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  if (it->second.member != kInvalidAddress) {
-    tracker_.OnTimeout(it->second.member, transport_.now());
-  }
-  RelayQuery(port, /*is_resteer=*/true);
+  pending_.Arm(port, AttemptTimeout(member, attempt), "frontend.timeout",
+               [this, port, member]() {
+                 tracker_.OnTimeout(member, transport_.now());
+                 RelayQuery(port, /*is_resteer=*/true);
+               });
 }
 
 void FleetFrontend::SendProbe(size_t member_index) {
@@ -542,7 +508,7 @@ void FleetFrontend::SendProbe(size_t member_index) {
   }
   const HostAddress member = members_[member_index];
   if (member_index < probe_timers_.size()) {
-    probe_timers_[member_index] = transport_.loop().ScheduleCancelableAfter(
+    probe_timers_[member_index] = transport_.loop().ScheduleAfter(
         config_.probe_interval, "frontend.probe",
         [this, member_index]() { SendProbe(member_index); });
   }
@@ -550,11 +516,10 @@ void FleetFrontend::SendProbe(size_t member_index) {
   if (!parsed.has_value()) {
     return;
   }
-  const uint16_t port = AllocatePort();
+  const uint16_t port = pending_.AllocatePort(&probe_pending_);
   const uint16_t id = next_probe_id_++;
-  PendingProbe& probe = probe_pending_[port];
+  PendingProbe& probe = probe_pending_.Insert(port);
   probe.member = member;
-  probe.generation = next_generation_++;
   probe.sent_at = transport_.now();
   probe.query_id = id;
   Message query = MakeQuery(id, *parsed, RecordType::kA);
@@ -563,21 +528,14 @@ void FleetFrontend::SendProbe(size_t member_index) {
   if (probe_counter_ != nullptr) {
     probe_counter_->Inc();
   }
-  const uint64_t generation = probe.generation;
   const Duration timeout = std::max<Duration>(
       tracker_.RetransmitTimeout(member, config_.probe_timeout), kMillisecond);
-  transport_.loop().ScheduleAfter(
-      timeout, "frontend.probe_timeout",
-      [this, port, generation]() { OnProbeTimeout(port, generation); });
+  probe_pending_.Arm(port, timeout, "frontend.probe_timeout",
+                     [this, port]() { OnProbeTimeout(port); });
 }
 
-void FleetFrontend::OnProbeTimeout(uint16_t port, uint64_t generation) {
-  auto it = probe_pending_.find(port);
-  if (it == probe_pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  const HostAddress member = it->second.member;
-  probe_pending_.erase(port);
+void FleetFrontend::OnProbeTimeout(uint16_t port) {
+  const HostAddress member = probe_pending_.Take(port).member;
   ++probe_timeouts_;
   if (probe_timeout_counter_ != nullptr) {
     probe_timeout_counter_->Inc();
@@ -591,7 +549,7 @@ void FleetFrontend::OnRotationTick() {
   if (rotation_counter_ != nullptr) {
     rotation_counter_->Inc();
   }
-  rotation_timer_ = transport_.loop().ScheduleCancelableAfter(
+  rotation_timer_ = transport_.loop().ScheduleAfter(
       config_.rotation_period, "frontend.rotate",
       [this]() { OnRotationTick(); });
 }

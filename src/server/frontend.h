@@ -34,6 +34,7 @@
 #include "src/common/rng.h"
 #include "src/common/token_bucket.h"
 #include "src/dns/message.h"
+#include "src/server/pending_queries.h"
 #include "src/server/transport.h"
 #include "src/server/upstream_tracker.h"
 #include "src/telemetry/audit.h"
@@ -158,7 +159,6 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
     uint16_t local_port = kDnsPort;
     Message query;
     int attempts_left = 0;
-    uint64_t generation = 0;
     HostAddress member = kInvalidAddress;
     Time sent_at = 0;
     Time first_sent_at = 0;
@@ -169,7 +169,6 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   };
   struct PendingProbe {
     HostAddress member = kInvalidAddress;
-    uint64_t generation = 0;
     Time sent_at = 0;
     uint16_t query_id = 0;
   };
@@ -181,20 +180,19 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   HostAddress PickMember(const Name& qname, Time now);
 
   void RelayQuery(uint16_t port, bool is_resteer);
-  void OnRelayTimeout(uint16_t port, uint64_t generation);
   void SendProbe(size_t member_index);
-  void OnProbeTimeout(uint16_t port, uint64_t generation);
+  void OnProbeTimeout(uint16_t port);
   void OnRotationTick();
   // Arms the staggered per-member probe timers and the rotation timer,
   // cancelling any that are still pending (idempotent re-arm).
   void ArmTimers();
+  void CancelTimers();
   void RespondToClient(const Pending& pending, Message response);
   // Answers `done` with SERVFAIL, attributing the fast-fail to `cause` with
   // the deciding observed/limit snapshot in the audit log and trace stream.
   void FailPending(Pending done, telemetry::AuditCause cause, double observed,
                    double limit);
   Duration AttemptTimeout(HostAddress member, int attempt);
-  uint16_t AllocatePort();
 
   telemetry::Counter* SteeredCounter(HostAddress member, bool resteer);
   void RegisterMemberTelemetry(HostAddress member);
@@ -206,17 +204,17 @@ class FleetFrontend : public DatagramHandler, public CrashResettable {
   TokenBucket resteer_budget_;
   std::vector<HostAddress> members_;
   FlatMap<HostAddress, uint64_t> steered_;
-  FlatMap<uint16_t, Pending> pending_;
-  FlatMap<uint16_t, PendingProbe> probe_pending_;
-  // Cancellation handles for the periodic work: a crash cancels these so a
-  // dead frontend stops probing, and the restart handler re-arms them.
-  std::vector<CancelToken> probe_timers_;
-  CancelToken rotation_timer_;
+  // Relays and probes share one port space: both allocate from pending_'s
+  // cursor, skipping ports either table holds.
+  PendingQueries<Pending> pending_;
+  PendingQueries<PendingProbe> probe_pending_;
+  // The periodic work's next timers: a crash cancels these so a dead
+  // frontend stops probing, and the restart handler re-arms them.
+  std::vector<TimerId> probe_timers_;
+  TimerId rotation_timer_;
   bool started_ = false;
   uint64_t epoch_ = 0;
   size_t next_member_ = 0;  // Round-robin cursor.
-  uint16_t next_port_ = 2048;
-  uint64_t next_generation_ = 1;
   uint16_t next_probe_id_ = 1;
 
   uint64_t requests_received_ = 0;

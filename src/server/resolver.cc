@@ -39,7 +39,8 @@ RecursiveResolver::RecursiveResolver(Transport& transport, ResolverConfig config
       config_(config),
       rng_(seed),
       cache_(config.cache_max_entries, config.serve_stale ? config.max_stale : 0),
-      tracker_(config.upstream, seed ^ 0x7570747261636bULL) {}
+      tracker_(config.upstream, seed ^ 0x7570747261636bULL),
+      outstanding_(transport.loop(), /*first_port=*/1024) {}
 
 void RecursiveResolver::AttachTelemetry(telemetry::MetricsRegistry* registry,
                                         telemetry::QueryTracer* tracer) {
@@ -127,19 +128,6 @@ void RecursiveResolver::AddAuthorityHint(const Name& apex, HostAddress server) {
 
 void RecursiveResolver::SeedCache(const Name& name, RecordType type, RrSet records) {
   cache_.StorePositive(name, type, std::move(records), transport_.now());
-}
-
-uint16_t RecursiveResolver::AllocatePort() {
-  for (int attempts = 0; attempts < 65536; ++attempts) {
-    const uint16_t port = next_port_++;
-    if (next_port_ == 0) {
-      next_port_ = 1024;
-    }
-    if (port >= 1024 && port != kDnsPort && !outstanding_.contains(port)) {
-      return port;
-    }
-  }
-  return 1023;  // Unreachable in practice (64K outstanding queries).
 }
 
 // ---------------------------------------------------------------------------
@@ -442,12 +430,9 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
   const Question& q = request.query.Q();
   request.root_task = CreateTask(request_id, /*parent=*/0, /*depth=*/0, q.qname, q.qtype);
 
-  transport_.loop().ScheduleAfter(config_.request_deadline, "resolver.deadline",
-                                  [this, request_id]() {
+  request.deadline = transport_.loop().ScheduleAfter(
+      config_.request_deadline, "resolver.deadline", [this, request_id]() {
     auto it = requests_.find(request_id);
-    if (it == requests_.end() || it->second.done) {
-      return;
-    }
     // Deadline exceeded: tear down the resolution tree and answer stale if
     // possible, SERVFAIL otherwise.
     const uint64_t root = it->second.root_task;
@@ -456,18 +441,18 @@ void RecursiveResolver::HandleClientRequest(const Datagram& dgram, Message query
     ObserveAmplification(it->second);
     if (!TryServeStale(it->second)) {
       if (audit_ != nullptr) {
-        ClientRequest& request = it->second;
+        const ClientRequest& expired = it->second;
         telemetry::AuditRecord rec;
         rec.at = transport_.now();
         rec.cause = telemetry::AuditCause::kResolverDeadlineExceeded;
         rec.actor = transport_.local_address();
-        rec.client = request.client.addr;
+        rec.client = expired.client.addr;
         rec.trace_id = telemetry::MakeTraceId(
-            request.client.addr, request.client.port, request.query.header.id);
+            expired.client.addr, expired.client.port, expired.query.header.id);
         rec.span_id = telemetry::kClientSpanId;
         rec.observed = static_cast<double>(config_.request_deadline);
         rec.limit = static_cast<double>(config_.request_deadline);
-        telemetry::SetAuditQname(rec, request.query.Q().qname.ToString());
+        telemetry::SetAuditQname(rec, expired.query.Q().qname.ToString());
         audit_->Record(rec);
       }
       Message response = MakeResponse(it->second.query, Rcode::kServFail);
@@ -818,16 +803,15 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
   const RecordType stype =
       sname.LabelCount() == t.qname.LabelCount() ? t.qtype : RecordType::kNs;
 
-  const uint16_t port = AllocatePort();
+  const uint16_t port = outstanding_.AllocatePort();
   const uint16_t qid = static_cast<uint16_t>(rng_.Next());
-  OutstandingQuery& oq = outstanding_[port];
+  OutstandingQuery& oq = outstanding_.Insert(port);
   oq.task_id = task_id;
   oq.id = qid;
   oq.server = server;
   oq.qname = sname;
   oq.qtype = stype;
   oq.retries_left = config_.upstream_retries;
-  oq.generation = next_generation_++;
   oq.sent_at = now;
   oq.attempt = 0;
 
@@ -898,22 +882,17 @@ void RecursiveResolver::SendQuery(uint64_t task_id) {
     }
   }
 
-  const uint64_t generation = oq.generation;
-  transport_.loop().ScheduleAfter(AttemptTimeout(server, /*attempt=*/0),
-                                  "resolver.timeout", [this, port, generation]() {
-                                    OnQueryTimeout(port, generation);
-                                  });
+  outstanding_.Arm(port, AttemptTimeout(server, /*attempt=*/0),
+                   "resolver.timeout", [this, port]() { OnQueryTimeout(port); });
 }
 
-void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
-  auto it = outstanding_.find(port);
-  if (it == outstanding_.end() || it->second.generation != generation) {
-    return;
-  }
-  OutstandingQuery& oq = it->second;
+void RecursiveResolver::OnQueryTimeout(uint16_t port) {
+  OutstandingQuery& oq = *outstanding_.Find(port);
   auto tit = tasks_.find(oq.task_id);
   if (tit == tasks_.end()) {
-    outstanding_.erase(port);
+    // The task was torn down while this query was in flight; its port stays
+    // taken until now.
+    outstanding_.Erase(port);
     return;
   }
   const Time now = transport_.now();
@@ -944,7 +923,6 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
     if (retry_counter_ != nullptr) {
       retry_counter_->Inc();
     }
-    oq.generation = next_generation_++;
     // The retransmission opens a fresh span caused by the timed-out attempt,
     // so retry storms are visible as chains in the span tree.
     oq.parent_span_id = oq.span_id;
@@ -992,16 +970,13 @@ void RecursiveResolver::OnQueryTimeout(uint16_t port, uint64_t generation) {
         egress_rl_counter_->Inc();
       }
     }
-    const uint64_t new_generation = oq.generation;
-    transport_.loop().ScheduleAfter(AttemptTimeout(oq.server, oq.attempt),
-                                    "resolver.timeout", [this, port, new_generation]() {
-                                      OnQueryTimeout(port, new_generation);
-                                    });
+    outstanding_.Arm(port, AttemptTimeout(oq.server, oq.attempt),
+                     "resolver.timeout", [this, port]() { OnQueryTimeout(port); });
     return;
   }
   const uint64_t task_id = oq.task_id;
   RecordSubQueryDone(tit->second.request_id, oq, /*answered=*/false);
-  outstanding_.erase(port);
+  outstanding_.Erase(port);
   TryNextServer(task_id);
 }
 
@@ -1028,18 +1003,17 @@ void RecursiveResolver::TryNextServer(uint64_t task_id) {
 // ---------------------------------------------------------------------------
 
 void RecursiveResolver::HandleUpstreamResponse(const Datagram& dgram, Message response) {
-  auto it = outstanding_.find(dgram.dst.port);
-  if (it == outstanding_.end()) {
+  const OutstandingQuery* found = outstanding_.Find(dgram.dst.port);
+  if (found == nullptr) {
     return;
   }
-  OutstandingQuery oq = it->second;
   // Anti-spoofing validation: id, server address and question must match.
-  if (response.header.id != oq.id || dgram.src.addr != oq.server ||
-      response.question.empty() || !(response.Q().qname == oq.qname) ||
-      response.Q().qtype != oq.qtype) {
+  if (response.header.id != found->id || dgram.src.addr != found->server ||
+      response.question.empty() || !(response.Q().qname == found->qname) ||
+      response.Q().qtype != found->qtype) {
     return;
   }
-  outstanding_.erase(dgram.dst.port);
+  const OutstandingQuery oq = outstanding_.Take(dgram.dst.port);
 
   // Health sample for the answering server. For retransmitted queries the
   // RTT is measured from the latest transmission, which may undershoot when
@@ -1253,7 +1227,6 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
     return;
   }
   ClientRequest& request = rit->second;
-  request.done = true;
   ObserveAmplification(request);
   Message response = MakeResponse(request.query, Rcode::kNoError);
   switch (status) {
@@ -1271,14 +1244,21 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
     case TaskStatus::kFail:
       // Total resolution failure: RFC 8767 serve-stale before SERVFAIL.
       if (TryServeStale(request)) {
-        requests_.erase(task.request_id);
+        EraseRequest(task.request_id);
         return;
       }
       response = MakeResponse(request.query, Rcode::kServFail);
       break;
   }
   RespondToClient(request, std::move(response));
-  requests_.erase(task.request_id);
+  EraseRequest(task.request_id);
+}
+
+void RecursiveResolver::EraseRequest(uint64_t request_id) {
+  if (auto it = requests_.find(request_id); it != requests_.end()) {
+    transport_.loop().Cancel(it->second.deadline);
+    requests_.erase(request_id);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1286,15 +1266,17 @@ void RecursiveResolver::CompleteTask(uint64_t task_id, TaskStatus status,
 // ---------------------------------------------------------------------------
 
 void RecursiveResolver::CrashReset() {
+  for (const auto& [id, request] : requests_) {
+    transport_.loop().Cancel(request.deadline);
+  }
   requests_.clear();
   tasks_.clear();
-  outstanding_.clear();
+  outstanding_.Clear();
   cache_ = DnsCache(config_.cache_max_entries, config_.serve_stale ? config_.max_stale : 0);
   nsec_cache_.clear();
   ingress_rrl_state_.clear();
   egress_rl_state_.clear();
-  // Pending timeout/deadline timers find their request/query gone and
-  // no-op; statistics counters survive (they model external observation).
+  // Statistics counters survive (they model external observation).
 }
 
 size_t RecursiveResolver::MemoryFootprint() const {

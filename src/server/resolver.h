@@ -34,6 +34,7 @@
 #include "src/dns/message.h"
 #include "src/server/authoritative.h"  // For ResponseRateLimitConfig.
 #include "src/server/cache.h"
+#include "src/server/pending_queries.h"
 #include "src/server/transport.h"
 #include "src/server/upstream_tracker.h"
 #include "src/telemetry/audit.h"
@@ -149,7 +150,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   // Simulated process crash: drops every client request, resolution task,
   // outstanding upstream query, and the (in-memory) cache, as a restart
-  // would. Stale timers for the dropped state become no-ops.
+  // would, and cancels the dropped requests' and queries' timers.
   void CrashReset() override;
 
  private:
@@ -163,8 +164,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
     Message query;
     uint64_t root_task = 0;
     int fetches = 0;
-    uint64_t deadline_generation = 0;
-    bool done = false;
+    TimerId deadline;  // Cancelled by EraseRequest.
   };
 
   struct Task {
@@ -200,7 +200,6 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
     Name qname;
     RecordType qtype = RecordType::kA;
     int retries_left = 0;
-    uint64_t generation = 0;
     Time sent_at = 0;   // Last transmission time (feeds the SRTT sample).
     int attempt = 0;    // 0 = initial send; grows with each retransmission.
     bool sent = false;  // False when the egress rate limit dropped the send.
@@ -218,6 +217,8 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   void HandleClientRequest(const Datagram& dgram, Message query);
   void HandleUpstreamResponse(const Datagram& dgram, Message response);
   void RespondToClient(ClientRequest& request, Message response);
+  // Removes a client request and cancels its deadline.
+  void EraseRequest(uint64_t request_id);
 
   // Serves (qname, qtype) fully from cache, following cached CNAMEs.
   // Returns nullopt when recursion is required.
@@ -235,7 +236,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
                       const Name& qname, RecordType qtype);
   void RunTask(uint64_t task_id);
   void SendQuery(uint64_t task_id);
-  void OnQueryTimeout(uint16_t port, uint64_t generation);
+  void OnQueryTimeout(uint16_t port);
   void TryNextServer(uint64_t task_id);
   void SpawnNsChildren(uint64_t task_id);
   void CompleteTask(uint64_t task_id, TaskStatus status, const RrSet& records);
@@ -259,8 +260,6 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
   bool PassesIngressRrl(HostAddress client, Rcode rcode);
   bool PassesEgressRl(HostAddress server);
 
-  uint16_t AllocatePort();
-
   // ---- causal tracing / amplification attribution --------------------------
   // End-to-end trace id of `request` (same key the stub and shim derive).
   static uint64_t TraceIdFor(const ClientRequest& request);
@@ -283,7 +282,7 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   FlatMap<uint64_t, ClientRequest> requests_;
   FlatMap<uint64_t, Task> tasks_;
-  FlatMap<uint16_t, OutstandingQuery> outstanding_;  // By local port.
+  PendingQueries<OutstandingQuery> outstanding_;  // By local port.
   struct ClientRrl {
     TokenBucket noerror;
     TokenBucket nxdomain;
@@ -302,10 +301,8 @@ class RecursiveResolver : public DatagramHandler, public CrashResettable {
 
   uint64_t next_request_id_ = 1;
   uint64_t next_task_id_ = 1;
-  uint64_t next_generation_ = 1;
   // Sub-query span ids; kClientSpanId is reserved for root client spans.
   uint32_t next_span_id_ = telemetry::kClientSpanId + 1;
-  uint16_t next_port_ = 1024;
 
   uint64_t requests_received_ = 0;
   uint64_t responses_sent_ = 0;

@@ -14,6 +14,7 @@ StubClient::StubClient(Transport& transport, StubConfig config,
     : transport_(transport),
       config_(config),
       generator_(std::move(generator)),
+      pending_(transport.loop(), /*first_port=*/10000),
       latency_(/*min_value=*/1.0, /*growth=*/1.05) {}
 
 void StubClient::AddResolver(HostAddress resolver) { resolvers_.push_back(resolver); }
@@ -47,19 +48,6 @@ double StubClient::SuccessRatio() const {
   return total > 0 ? static_cast<double>(succeeded_) / static_cast<double>(total) : 0.0;
 }
 
-uint16_t StubClient::AllocatePort() {
-  for (int attempts = 0; attempts < 65536; ++attempts) {
-    const uint16_t port = next_port_++;
-    if (next_port_ == 0) {
-      next_port_ = 10000;
-    }
-    if (port >= 1024 && port != kDnsPort && !pending_.contains(port)) {
-      return port;
-    }
-  }
-  return 1023;
-}
-
 void StubClient::Start() {
   if (resolvers_.empty() || config_.qps <= 0 || config_.stop <= config_.start) {
     return;
@@ -89,8 +77,8 @@ void StubClient::LaunchRequest() {
     ++failed_;
     return;
   }
-  const uint16_t port = AllocatePort();
-  Pending& p = pending_[port];
+  const uint16_t port = pending_.AllocatePort();
+  Pending& p = pending_.Insert(port);
   p.seq = next_seq_++;
   p.sent_at = transport_.now();
   p.attempts_left = config_.retries;
@@ -101,12 +89,7 @@ void StubClient::LaunchRequest() {
 }
 
 void StubClient::SendAttempt(uint16_t port) {
-  auto it = pending_.find(port);
-  if (it == pending_.end()) {
-    return;
-  }
-  Pending& p = it->second;
-  p.generation = next_generation_++;
+  Pending& p = *pending_.Find(port);
   const HostAddress resolver = resolvers_[p.resolver_index % resolvers_.size()];
   if (p.wire.empty()) {
     const Question q = generator_(p.seq);
@@ -130,20 +113,12 @@ void StubClient::SendAttempt(uint16_t port) {
                     /*peer=*/resolver);
   }
 
-  const uint64_t generation = p.generation;
-  transport_.loop().ScheduleAfter(config_.timeout, "stub.timeout",
-                                  [this, port, generation]() {
-                                    OnTimeout(port, generation);
-                                  });
+  pending_.Arm(port, config_.timeout, "stub.timeout",
+               [this, port]() { OnTimeout(port); });
 }
 
 void StubClient::Finish(uint16_t port, bool success, Time now) {
-  auto it = pending_.find(port);
-  if (it == pending_.end()) {
-    return;
-  }
-  const Pending p = it->second;
-  pending_.erase(port);
+  const Pending p = pending_.Take(port);
   if (success) {
     ++succeeded_;
     latency_.Add(static_cast<double>(now - p.sent_at));
@@ -167,11 +142,11 @@ void StubClient::HandleDatagram(const Datagram& dgram) {
   if (!decoded.has_value() || !decoded->IsResponse()) {
     return;
   }
-  auto it = pending_.find(dgram.dst.port);
-  if (it == pending_.end()) {
+  Pending* found = pending_.Find(dgram.dst.port);
+  if (found == nullptr) {
     return;
   }
-  Pending& p = it->second;
+  Pending& p = *found;
   if (decoded->header.id != static_cast<uint16_t>(p.seq)) {
     return;
   }
@@ -220,12 +195,8 @@ void StubClient::HandleDatagram(const Datagram& dgram) {
   Finish(dgram.dst.port, success, now);
 }
 
-void StubClient::OnTimeout(uint16_t port, uint64_t generation) {
-  auto it = pending_.find(port);
-  if (it == pending_.end() || it->second.generation != generation) {
-    return;
-  }
-  Pending& p = it->second;
+void StubClient::OnTimeout(uint16_t port) {
+  Pending& p = *pending_.Find(port);
   if (p.attempts_left > 0) {
     --p.attempts_left;
     p.resolver_index = (p.resolver_index + 1) % std::max<size_t>(1, resolvers_.size());

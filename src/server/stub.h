@@ -15,9 +15,9 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/flat_map.h"
 #include "src/common/stats.h"
 #include "src/dns/message.h"
+#include "src/server/pending_queries.h"
 #include "src/server/transport.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -81,7 +81,6 @@ class StubClient : public DatagramHandler {
     Time sent_at = 0;
     int attempts_left = 0;
     size_t resolver_index = 0;
-    uint64_t generation = 0;
     // Cached encoding of this request: the question is a pure function of
     // `seq`, so retries resend the same bytes without re-encoding.
     WireBytes wire;
@@ -89,20 +88,17 @@ class StubClient : public DatagramHandler {
 
   void LaunchRequest();
   void SendAttempt(uint16_t port);
-  void OnTimeout(uint16_t port, uint64_t generation);
+  void OnTimeout(uint16_t port);
   void Finish(uint16_t port, bool success, Time now);
-  uint16_t AllocatePort();
 
   Transport& transport_;
   StubConfig config_;
   QuestionGenerator generator_;
   std::vector<HostAddress> resolvers_;
-  FlatMap<uint16_t, Pending> pending_;
+  PendingQueries<Pending> pending_;
   size_t preferred_resolver_ = 0;  // Shifted by DCC-aware congestion handling.
   Time paused_until_ = 0;          // Set by DCC-aware policing handling.
   uint64_t next_seq_ = 0;
-  uint16_t next_port_ = 10000;
-  uint64_t next_generation_ = 1;
 
   uint64_t requests_sent_ = 0;
   uint64_t succeeded_ = 0;

@@ -67,49 +67,39 @@ void EventLoop::AttachTelemetry(telemetry::MetricsRegistry* registry) {
       "Current virtual clock in microseconds");
 }
 
-void EventLoop::ScheduleAt(Time t, Handler fn) {
-  Schedule(t, kUncategorized, std::move(fn), nullptr);
+TimerId EventLoop::ScheduleAt(Time t, Handler fn) {
+  return Schedule(t, kUncategorized, std::move(fn));
 }
 
-void EventLoop::ScheduleAt(Time t, const char* category, Handler fn) {
-  Schedule(t, category, std::move(fn), nullptr);
+TimerId EventLoop::ScheduleAt(Time t, const char* category, Handler fn) {
+  return Schedule(t, category, std::move(fn));
 }
 
-void EventLoop::ScheduleAfter(Duration delay, Handler fn) {
-  Schedule(now_ + std::max<Duration>(0, delay), kUncategorized, std::move(fn),
-           nullptr);
+TimerId EventLoop::ScheduleAfter(Duration delay, Handler fn) {
+  return Schedule(now_ + std::max<Duration>(0, delay), kUncategorized,
+                  std::move(fn));
 }
 
-void EventLoop::ScheduleAfter(Duration delay, const char* category, Handler fn) {
-  Schedule(now_ + std::max<Duration>(0, delay), category, std::move(fn),
-           nullptr);
+TimerId EventLoop::ScheduleAfter(Duration delay, const char* category,
+                                 Handler fn) {
+  return Schedule(now_ + std::max<Duration>(0, delay), category, std::move(fn));
 }
 
-CancelToken EventLoop::ScheduleCancelableAt(Time t, const char* category,
-                                            Handler fn) {
-  auto flag = std::make_shared<bool>(false);
-  Schedule(t, category, std::move(fn), flag);
-  return CancelToken(std::move(flag));
-}
-
-CancelToken EventLoop::ScheduleCancelableAfter(Duration delay,
-                                               const char* category,
-                                               Handler fn) {
-  return ScheduleCancelableAt(now_ + std::max<Duration>(0, delay), category,
-                              std::move(fn));
-}
-
-CancelToken EventLoop::SchedulePeriodic(Duration period, Handler fn,
-                                        Time until) {
-  return SchedulePeriodic(period, "event.periodic", std::move(fn), until);
-}
-
-CancelToken EventLoop::SchedulePeriodic(Duration period, const char* category,
-                                        Handler fn, Time until) {
-  if (period <= 0 || now_ + period > until) {
-    return CancelToken();
+void EventLoop::Cancel(TimerId id) {
+  if (id.slot < slot_serial_.size() && slot_serial_[id.slot] == id.serial) {
+    slot_serial_[id.slot] = kNoEvent;
   }
-  auto flag = std::make_shared<bool>(false);
+}
+
+void EventLoop::SchedulePeriodic(Duration period, Handler fn, Time until) {
+  SchedulePeriodic(period, "event.periodic", std::move(fn), until);
+}
+
+void EventLoop::SchedulePeriodic(Duration period, const char* category,
+                                 Handler fn, Time until) {
+  if (period <= 0 || now_ + period > until) {
+    return;
+  }
   // The handler lives in shared state: each tick re-arms by copying a
   // shared_ptr (one refcount bump) instead of copying the std::function —
   // periodic samplers capture probe tables that used to be cloned per tick.
@@ -119,37 +109,40 @@ CancelToken EventLoop::SchedulePeriodic(Duration period, const char* category,
     const char* category;
     Handler fn;
     Time until;
-    std::shared_ptr<bool> cancelled;
 
     void Arm(std::shared_ptr<Tick> self) {
-      EventLoop* target = loop;
-      const Time at = target->now_ + period;
-      const char* label = category;
-      std::shared_ptr<bool> flag_copy = cancelled;
-      target->Schedule(at, label,
-                       [self = std::move(self)]() {
-                         self->fn();
-                         if (!*self->cancelled &&
-                             self->loop->now_ + self->period <= self->until) {
-                           self->Arm(self);
-                         }
-                       },
-                       std::move(flag_copy));
+      loop->Schedule(loop->now_ + period, category, [self = std::move(self)]() {
+        self->fn();
+        if (self->loop->now_ + self->period <= self->until) {
+          self->Arm(self);
+        }
+      });
     }
   };
   auto tick = std::make_shared<Tick>(
-      Tick{this, period, category, std::move(fn), until, flag});
+      Tick{this, period, category, std::move(fn), until});
   tick->Arm(tick);
-  return CancelToken(std::move(flag));
 }
 
-void EventLoop::Schedule(Time t, const char* category, Handler fn,
-                         std::shared_ptr<bool> cancel) {
+TimerId EventLoop::Schedule(Time t, const char* category, Handler fn) {
+  if (++last_serial_ == kNoEvent) {
+    ++last_serial_;
+  }
+  uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slot_serial_.size());
+    slot_serial_.push_back(last_serial_);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slot_serial_[slot] = last_serial_;
+  }
   Insert(Event{std::max(t, now_), next_seq_++, std::move(fn), category, now_,
-               std::move(cancel)});
+               slot, last_serial_});
   ++size_;
   max_pending_ = std::max(max_pending_, size_);
   prof::RecordQueueDepth(size_);
+  return TimerId{slot, last_serial_};
 }
 
 void EventLoop::Insert(Event e) {
@@ -318,16 +311,21 @@ size_t EventLoop::Run(Time until) {
         break;
       }
       Event& event = bucket[index];
-      if (event.cancelled != nullptr && *event.cancelled) {
-        --size_;
+      // Freeing the slot before the handler runs makes a Cancel() of the
+      // event's own id from inside it a no-op.
+      const bool live = slot_serial_[event.slot] == event.serial;
+      slot_serial_[event.slot] = kNoEvent;
+      free_slots_.push_back(event.slot);
+      --size_;
+      if (!live) {
         ++cancelled_skipped_;
+        prof::RecordCancelled(event.category);
         continue;
       }
       Handler fn = std::move(event.fn);
       const char* category = event.category;
       const uint64_t lag_us = static_cast<uint64_t>(t - event.enqueued_at);
       now_ = t;
-      --size_;
       {
         // Profiling only reads the host clock and thread-local counters, so
         // the executed schedule is identical with it on or off.

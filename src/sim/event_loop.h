@@ -25,18 +25,17 @@
 // labels: they never affect ordering, so labeled and unlabeled runs are
 // event-for-event identical.
 //
-// Cancellation: the Cancelable schedule variants and SchedulePeriodic return
-// a CancelToken. Cancelling marks the pending event(s) dead; the loop skips
-// dead events at drain time without counting them as executed, so a
-// cancelled retransmit timer or a crashed node's periodic probe costs
-// nothing and never shows up in the profile.
+// Cancellation: every schedule call returns a TimerId; Cancel(id) tombstones
+// the event in O(1) without allocating. Tombstones keep their wheel slot, so
+// surviving events keep their exact (when, seq) order, and are skipped at
+// drain time: counted in cancelled_skipped() and the profiler's `cancelled`
+// column, never as executed. Cancelling a fired or cancelled event is a no-op.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -45,31 +44,10 @@
 
 namespace dcc {
 
-class EventLoop;
-
-// Handle to a scheduled (or periodic) event. Copyable; all copies refer to
-// the same underlying schedule. A default-constructed token is inert.
-class CancelToken {
- public:
-  CancelToken() = default;
-
-  // Marks the schedule dead. Idempotent; no-op on an inert token. The
-  // pending event is skipped (not executed, not counted) at drain time, and
-  // a periodic schedule stops re-arming.
-  void Cancel() const {
-    if (flag_ != nullptr) {
-      *flag_ = true;
-    }
-  }
-
-  // True while this token refers to a schedule that has not been cancelled.
-  bool active() const { return flag_ != nullptr && !*flag_; }
-
- private:
-  friend class EventLoop;
-  explicit CancelToken(std::shared_ptr<bool> flag) : flag_(std::move(flag)) {}
-
-  std::shared_ptr<bool> flag_;
+// Names one scheduled event for EventLoop::Cancel; a default id names none.
+struct TimerId {
+  uint32_t slot = 0;
+  uint32_t serial = 0;  // Never 0 for an event; repeats after 2^32 schedules.
 };
 
 class EventLoop {
@@ -95,29 +73,24 @@ class EventLoop {
   // Schedules `fn` at absolute time `t` (clamped to `now`). `category` must
   // be a string literal (or otherwise outlive the loop); it labels the event
   // for the profiler's per-category table and flamegraph output.
-  void ScheduleAt(Time t, Handler fn);
-  void ScheduleAt(Time t, const char* category, Handler fn);
+  TimerId ScheduleAt(Time t, Handler fn);
+  TimerId ScheduleAt(Time t, const char* category, Handler fn);
 
   // Schedules `fn` after `delay` from now.
-  void ScheduleAfter(Duration delay, Handler fn);
-  void ScheduleAfter(Duration delay, const char* category, Handler fn);
+  TimerId ScheduleAfter(Duration delay, Handler fn);
+  TimerId ScheduleAfter(Duration delay, const char* category, Handler fn);
 
-  // Like ScheduleAt/ScheduleAfter, but returns a token that can cancel the
-  // event before it fires. A cancelled event is skipped at drain time and
-  // does not count as executed.
-  CancelToken ScheduleCancelableAt(Time t, const char* category, Handler fn);
-  CancelToken ScheduleCancelableAfter(Duration delay, const char* category,
-                                      Handler fn);
+  // Tombstones the event `id` names if it is still pending; a no-op for an
+  // event that already ran or was cancelled, and for a default id.
+  void Cancel(TimerId id);
 
   // Schedules `fn` every `period`, starting at now + period, until the loop
-  // stops, `until` is reached (kTimeInfinity = forever), or the returned
-  // token is cancelled. The handler is stored once in shared state:
-  // re-arming each tick copies a shared_ptr, not the handler itself
-  // (periodic samplers capture non-trivial state).
-  CancelToken SchedulePeriodic(Duration period, Handler fn,
-                               Time until = kTimeInfinity);
-  CancelToken SchedulePeriodic(Duration period, const char* category,
-                               Handler fn, Time until = kTimeInfinity);
+  // stops or `until` is reached (kTimeInfinity = forever). The handler is
+  // stored once in shared state: re-arming each tick copies a shared_ptr,
+  // not the handler itself (periodic samplers capture non-trivial state).
+  void SchedulePeriodic(Duration period, Handler fn, Time until = kTimeInfinity);
+  void SchedulePeriodic(Duration period, const char* category, Handler fn,
+                        Time until = kTimeInfinity);
 
   // Runs until the queue is empty, `until` is passed, or Stop() is called.
   // Returns the number of events executed.
@@ -140,7 +113,7 @@ class EventLoop {
   // timing wheel's occupancy stats complement it.
   size_t max_pending() const { return max_pending_; }
 
-  // Events skipped at drain time because their token was cancelled first.
+  // Events skipped at drain time because they were cancelled first.
   uint64_t cancelled_skipped() const { return cancelled_skipped_; }
 
  private:
@@ -150,7 +123,8 @@ class EventLoop {
     Handler fn;
     const char* category;  // Never null; label only, never ordering.
     Time enqueued_at;      // Virtual enqueue time, for schedule-to-run lag.
-    std::shared_ptr<bool> cancelled;  // Null for non-cancellable events.
+    uint32_t slot;         // Cancellation slot and serial (see TimerId).
+    uint32_t serial;
     bool operator>(const Event& other) const {
       return when != other.when ? when > other.when : seq > other.seq;
     }
@@ -170,8 +144,7 @@ class EventLoop {
   static constexpr int kL3Shift = kL2Shift + kLevelBits; // 20
   static constexpr int kSpanShift = kL3Shift + kLevelBits; // 26
 
-  void Schedule(Time t, const char* category, Handler fn,
-                std::shared_ptr<bool> cancel);
+  TimerId Schedule(Time t, const char* category, Handler fn);
   void Insert(Event e);
   void CascadeInto(std::vector<Event>& bucket);
 
@@ -192,6 +165,14 @@ class EventLoop {
   uint64_t l3_bits_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> overflow_;
   std::vector<Event> scratch_;  // Cascade staging; keeps its capacity.
+  // Cancellation slots, one per pending event: slot_serial_[e.slot] ==
+  // e.serial while `e` is live, kNoEvent once cancelled or released. Freed
+  // slots are recycled, so both vectors stop growing at the peak pending
+  // count.
+  static constexpr uint32_t kNoEvent = 0;
+  std::vector<uint32_t> slot_serial_;
+  std::vector<uint32_t> free_slots_;
+  uint32_t last_serial_ = kNoEvent;
 
   Time now_ = 0;
   // Lower bound on every pending event's timestamp; the drain scan starts

@@ -86,6 +86,7 @@ struct PathNode {
 
 struct EventCatStat {
   uint64_t count = 0;
+  uint64_t cancelled = 0;
   uint64_t wall_ns = 0;
   uint64_t lag_us_sum = 0;
   uint64_t lag_us_max = 0;
@@ -222,6 +223,12 @@ void RecordEventSlow(const char* category, uint64_t wall_ns, uint64_t lag_us) {
   stat.lag_us_max = std::max(stat.lag_us_max, lag_us);
 }
 
+void RecordCancelled(const char* category) {
+  if (TlsEnabled()) {
+    ++State().event_categories[category].cancelled;
+  }
+}
+
 void RecordQueueDepthSlow(uint64_t depth) {
   ProfState& state = State();
   state.queue_depth_max = std::max(state.queue_depth_max, depth);
@@ -303,6 +310,7 @@ ProfileReport Snapshot() {
     EventCategoryReport& row = merged[name];
     row.category = name;
     row.count += stat.count;
+    row.cancelled += stat.cancelled;
     row.wall_ns += stat.wall_ns;
     row.lag_us_sum += stat.lag_us_sum;
     row.lag_us_max = std::max(row.lag_us_max, stat.lag_us_max);
@@ -373,6 +381,8 @@ json::Value ProfileJsonValue(const ProfileReport& report) {
     json::Value row = json::Value::MakeObject();
     row.Set("category", json::Value::OfString(cat.category));
     row.Set("count", json::Value::OfNumber(static_cast<double>(cat.count)));
+    row.Set("cancelled",
+            json::Value::OfNumber(static_cast<double>(cat.cancelled)));
     row.Set("wall_ms", json::Value::OfNumber(ms(cat.wall_ns)));
     row.Set("lag_us_sum",
             json::Value::OfNumber(static_cast<double>(cat.lag_us_sum)));

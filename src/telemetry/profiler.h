@@ -41,9 +41,10 @@
 //
 // The event loop reports per-category execution stats (count, handler wall
 // time, virtual schedule-to-run lag, queue-depth high-watermark) through
-// RecordEvent/RecordQueueDepth, and the DNS message/codec/network layers
-// report copy churn through the CopyCounters hooks. All of it lands in the
-// same ProfileReport.
+// RecordEvent/RecordQueueDepth (skipped cancelled events apart, through
+// RecordCancelled), and the DNS message/codec/network layers report copy
+// churn through the CopyCounters hooks. All of it lands in the same
+// ProfileReport.
 
 #ifndef SRC_TELEMETRY_PROFILER_H_
 #define SRC_TELEMETRY_PROFILER_H_
@@ -107,7 +108,8 @@ struct PathReport {
 // read on scheduler queueing behavior.
 struct EventCategoryReport {
   std::string category;
-  uint64_t count = 0;
+  uint64_t count = 0;      // Handlers executed.
+  uint64_t cancelled = 0;  // Events skipped because they were cancelled.
   uint64_t wall_ns = 0;
   uint64_t lag_us_sum = 0;
   uint64_t lag_us_max = 0;
@@ -227,6 +229,9 @@ class EventScope {
   uint64_t lag_us_ = 0;
   uint64_t start_ns_ = 0;
 };
+
+// Counts a cancelled event of `category` that the loop skipped (not hot).
+void RecordCancelled(const char* category);
 
 inline void RecordQueueDepth(uint64_t depth) {
   if (TlsEnabled()) {

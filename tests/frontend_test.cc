@@ -1,6 +1,7 @@
 // Fleet-frontend tests: steering policies, active health checks driving
 // hold-down and recovery, the token-bucket re-steer budget bounding failover
-// bursts, moving-target rotation, and the telemetry surface.
+// bursts, moving-target rotation, the telemetry surface, and relay/probe
+// timers that are cancelled by the answer or a crash instead of firing.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "src/attack/testbed.h"
 #include "src/server/frontend.h"
+#include "src/telemetry/profiler.h"
 #include "src/telemetry/telemetry.h"
 #include "src/zone/experiment_zones.h"
 
@@ -23,6 +25,17 @@ const std::string* LabelValue(const telemetry::Labels& labels,
     }
   }
   return nullptr;
+}
+
+// Executed and cancelled events of `category` in the calling thread's
+// profile.
+std::pair<uint64_t, uint64_t> ProfiledEvents(const std::string& category) {
+  for (const prof::EventCategoryReport& row : prof::Snapshot().event_categories) {
+    if (row.category == category) {
+      return {row.count, row.cancelled};
+    }
+  }
+  return {0, 0};
 }
 
 const Name& TargetApex() {
@@ -327,6 +340,49 @@ TEST(FrontendCrashTest, CrashResetDropsInFlightState) {
   d.bed.RunFor(Seconds(12));
   // The frontend keeps serving after the crash: new queries still answered.
   EXPECT_GT(d.frontend->responses_sent(), 0u);
+}
+
+TEST(FrontendTimerTest, AnsweredRelaysAndProbesNeverRunTheirTimeouts) {
+  prof::Reset();
+  prof::Enable();
+  FleetDeployment d;
+  StubClient& stub = d.AddSpreadClient(20, Seconds(3));
+  d.bed.RunFor(Seconds(6));
+  ASSERT_EQ(stub.succeeded(), 60u);
+  EXPECT_EQ(d.frontend->probe_timeouts(), 0u);
+  const auto relay = ProfiledEvents("frontend.timeout");
+  const auto probe = ProfiledEvents("frontend.probe_timeout");
+  prof::Reset();
+  EXPECT_EQ(relay, std::make_pair(uint64_t{0}, uint64_t{60}));
+  EXPECT_EQ(probe.first, 0u);
+  EXPECT_GE(probe.second, d.frontend->probes_sent() - d.member_addrs.size());
+  EXPECT_GE(d.bed.loop().cancelled_skipped(), relay.second + probe.second);
+}
+
+TEST(FrontendTimerTest, CrashCancelsInFlightRelayAndProbeTimers) {
+  prof::Reset();
+  prof::Enable();
+  FleetDeployment d;
+  StubClient& stub = d.AddSpreadClient(50, Seconds(10));
+  size_t relays_in_flight = 0;
+  // Just after a client send (every 20 ms), while its relay is in flight.
+  d.bed.loop().ScheduleAt(Milliseconds(5101), [&d, &relays_in_flight] {
+    relays_in_flight = d.frontend->PendingCount();
+    d.frontend->CrashReset();
+    d.frontend->CrashRestart();
+  });
+  d.bed.RunFor(Seconds(14));
+  const auto relay = ProfiledEvents("frontend.timeout");
+  const auto probe = ProfiledEvents("frontend.probe_timeout");
+  prof::Reset();
+  ASSERT_GT(relays_in_flight, 0u);
+  EXPECT_EQ(stub.failed(), relays_in_flight);
+  // Every member answers, so only the crash stops relays short of their
+  // answers, and the crash cancels their timers.
+  EXPECT_EQ(relay.first, 0u);
+  EXPECT_EQ(relay.second, d.frontend->queries_sent());
+  EXPECT_EQ(probe.first, 0u);
+  EXPECT_EQ(d.frontend->probe_timeouts(), 0u);
 }
 
 }  // namespace

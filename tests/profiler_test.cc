@@ -261,6 +261,42 @@ TEST(ProfilerTest, EventCategoriesRecordCountAndDeterministicLag) {
   prof::Reset();
 }
 
+TEST(ProfilerTest, CancelledEventsAreCountedApartFromExecutedOnes) {
+  prof::Reset();
+  prof::Enable();
+
+  EventLoop loop;
+  loop.ScheduleAfter(10, "test.timer", []() {});
+  const TimerId dead = loop.ScheduleAfter(20, "test.timer", []() {});
+  const TimerId only_dead = loop.ScheduleAfter(30, "test.answered", []() {});
+  loop.Cancel(dead);
+  loop.Cancel(only_dead);
+  loop.Run();
+
+  prof::Disable();
+  const prof::ProfileReport report = prof::Snapshot();
+  const prof::EventCategoryReport* timer = nullptr;
+  const prof::EventCategoryReport* answered = nullptr;
+  for (const prof::EventCategoryReport& cat : report.event_categories) {
+    if (cat.category == "test.timer") timer = &cat;
+    if (cat.category == "test.answered") answered = &cat;
+  }
+  ASSERT_NE(timer, nullptr);
+  ASSERT_NE(answered, nullptr) << "a category with only dead events still shows";
+  EXPECT_EQ(timer->count, 1u);
+  EXPECT_EQ(timer->cancelled, 1u);
+  EXPECT_EQ(timer->lag_us_sum, 10u) << "a skipped event adds no lag";
+  EXPECT_EQ(answered->count, 0u);
+  EXPECT_EQ(answered->cancelled, 1u);
+  EXPECT_EQ(answered->wall_ns, 0u);
+  EXPECT_EQ(FindSite(report, "test.answered"), nullptr)
+      << "a skipped event opens no profiler scope";
+  EXPECT_NE(prof::WriteProfileJson(report).find("\"cancelled\": 1"),
+            std::string::npos);
+
+  prof::Reset();
+}
+
 TEST(ProfilerTest, CopyCountersSeeMessageAndCodecChurn) {
   prof::Reset();
   prof::Enable();

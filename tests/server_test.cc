@@ -1,13 +1,16 @@
 // Integration tests for src/server over the simulated network: the
 // authoritative server, the recursive resolver's full iteration machinery
 // (cache, CNAME chase, QMIN, delegation fan-out, rate limits, failure
-// handling), the forwarder, and the stub client.
+// handling), the forwarder, the stub client, and the pending-query table's
+// timer lifecycle (answered or crashed queries never run their timeouts).
 
 #include <gtest/gtest.h>
 
 #include "src/attack/patterns.h"
 #include "src/attack/testbed.h"
 #include "src/dns/codec.h"
+#include "src/server/pending_queries.h"
+#include "src/telemetry/profiler.h"
 #include "src/telemetry/sampler.h"
 #include "src/zone/experiment_zones.h"
 
@@ -55,6 +58,26 @@ struct Deployment {
   HostAddress client_addr = 0;
   AuthoritativeServer* auth = nullptr;
   RecursiveResolver* resolver = nullptr;
+};
+
+// Profiles the calling thread for the lifetime of the scope.
+class ScopedProfile {
+ public:
+  ScopedProfile() {
+    prof::Reset();
+    prof::Enable();
+  }
+  ~ScopedProfile() { prof::Reset(); }
+
+  // Executed and cancelled events of `category` so far.
+  std::pair<uint64_t, uint64_t> Events(const std::string& category) const {
+    for (const prof::EventCategoryReport& row : prof::Snapshot().event_categories) {
+      if (row.category == category) {
+        return {row.count, row.cancelled};
+      }
+    }
+    return {0, 0};
+  }
 };
 
 StubConfig OneShot(int count = 1, double qps = 100.0) {
@@ -564,6 +587,160 @@ TEST(StubTest, TracksPerSecondSeries) {
   EXPECT_GT(stub.latency().count(), 0);
   // Latency ~ network RTT + processing (>= 1 ms in simulator microseconds).
   EXPECT_GT(stub.latency().mean(), 500.0);
+}
+
+TEST(TimerLifecycleTest, AnsweredQueriesNeverRunTheirTimeouts) {
+  // stub -> forwarder -> resolver -> auth, every hop answered: each hop's
+  // attempt timer (and the resolver's request deadline) is cancelled when
+  // the answer arrives and is skipped unexecuted.
+  ScopedProfile profile;
+  Deployment d;
+  const HostAddress fwd_addr = d.bed.NextAddress();
+  ForwarderConfig fwd_config;
+  fwd_config.cache_enabled = false;
+  Forwarder& forwarder = d.bed.AddForwarder(fwd_addr, fwd_config);
+  forwarder.AddUpstream(d.resolver_addr);
+  StubClient& stub =
+      d.bed.AddStub(d.client_addr, OneShot(3, 50.0), MakeWcGenerator(TargetApex(), 31));
+  stub.AddResolver(fwd_addr);
+  stub.Start();
+  d.bed.RunFor(Seconds(20));  // Well past every timeout and deadline.
+
+  ASSERT_EQ(stub.succeeded(), 3u);
+  uint64_t dead = 0;
+  for (const char* category : {"stub.timeout", "forwarder.timeout",
+                               "resolver.timeout", "resolver.deadline"}) {
+    const auto [executed, cancelled] = profile.Events(category);
+    EXPECT_EQ(executed, 0u) << category;
+    EXPECT_GE(cancelled, 3u) << category;
+    dead += cancelled;
+  }
+  EXPECT_EQ(profile.Events("stub.timeout").second, 3u);
+  EXPECT_EQ(profile.Events("forwarder.timeout").second, 3u);
+  EXPECT_EQ(profile.Events("resolver.deadline").second, 3u);
+  EXPECT_EQ(d.bed.loop().cancelled_skipped(), dead);
+}
+
+TEST(TimerLifecycleTest, RetransmissionCancelsTheEarlierAttemptsTimer) {
+  // The stub's SERVFAIL-driven retry re-arms its timer; the first attempt's
+  // timer must not fire into the second attempt.
+  ScopedProfile profile;
+  Testbed bed;
+  const HostAddress resolver_addr = bed.NextAddress();
+  bed.AddResolver(resolver_addr);  // No hints: every request SERVFAILs.
+  StubConfig config = OneShot(1);
+  config.retries = 1;
+  StubClient& stub =
+      bed.AddStub(bed.NextAddress(), config, MakeWcGenerator(TargetApex(), 32));
+  stub.AddResolver(resolver_addr);
+  stub.Start();
+  bed.RunFor(Seconds(20));
+  EXPECT_EQ(stub.failed(), 1u);
+  EXPECT_EQ(stub.requests_sent(), 2u);
+  EXPECT_EQ(profile.Events("stub.timeout"), std::make_pair(uint64_t{0}, uint64_t{2}));
+}
+
+TEST(TimerLifecycleTest, CrashResetCancelsTimersOfReusedPorts) {
+  // A query to a dead server holds the resolver's first port (1024) when the
+  // resolver crashes. Exactly one full lap of the port space later (64511
+  // answered single-query requests), a new query to the dead server gets
+  // port 1024 again. The pre-crash query's timer, due 5 s after it was
+  // sent, must not fire into the new query; only the new query's own
+  // deadline (4 s after it arrives) may end it.
+  Testbed bed;
+  const HostAddress auth_addr = bed.NextAddress();
+  const HostAddress dead_addr = bed.NextAddress();  // Nothing listens here.
+  const HostAddress resolver_addr = bed.NextAddress();
+  AuthoritativeServer& auth = bed.AddAuthoritative(auth_addr);
+  auth.AddZone(MakeTargetZone(TargetApex(), auth_addr));
+  ResolverConfig config;
+  config.qname_minimization = false;  // One upstream query per request.
+  config.adaptive_retry = false;
+  config.upstream_timeout = Seconds(5);
+  config.upstream_retries = 0;
+  RecursiveResolver& resolver = bed.AddResolver(resolver_addr, config);
+  resolver.AddAuthorityHint(TargetApex(), auth_addr);
+  resolver.AddAuthorityHint(*Name::Parse("dead-domain"), dead_addr);
+
+  const auto dead_name = [](const char* label) {
+    return [label](uint64_t) {
+      return Question{*Name::Parse(std::string(label) + ".dead-domain"),
+                      RecordType::kA};
+    };
+  };
+  StubConfig single = OneShot(1);
+  single.timeout = Seconds(60);
+  StubClient& before = bed.AddStub(bed.NextAddress(), single, dead_name("a"));
+  before.AddResolver(resolver_addr);
+  before.Start();
+  bed.loop().ScheduleAt(Milliseconds(100), "test.crash",
+                        [&resolver]() { resolver.CrashReset(); });
+
+  StubConfig lap;
+  lap.start = Milliseconds(200);
+  lap.qps = 20000;
+  lap.stop = lap.start + static_cast<Duration>(64511 / lap.qps * kSecond);
+  StubClient& flood = bed.AddStub(bed.NextAddress(), lap, MakeWcGenerator(TargetApex(), 33));
+  flood.AddResolver(resolver_addr);
+  flood.Start();
+
+  single.start = Seconds(4);
+  single.stop = single.start + Milliseconds(10);
+  StubClient& after = bed.AddStub(bed.NextAddress(), single, dead_name("b"));
+  after.AddResolver(resolver_addr);
+  after.Start();
+
+  bed.RunFor(Seconds(7));
+  ASSERT_EQ(flood.succeeded(), 64511u) << "the lap must free every port";
+  EXPECT_EQ(after.failed(), 0u) << "the pre-crash timer ended the new query";
+  EXPECT_EQ(resolver.OutstandingQueryCount(), 1u);
+  bed.RunFor(Seconds(5));
+  EXPECT_EQ(after.failed(), 1u);  // Its own deadline, at ~8 s.
+  EXPECT_EQ(resolver.OutstandingQueryCount(), 0u);
+}
+
+TEST(PendingQueriesTest, RemovalAndRearmCancelTheTimer) {
+  EventLoop loop;
+  PendingQueries<int> table(loop, /*first_port=*/2048);
+  std::vector<std::pair<uint16_t, int>> fired;
+  const auto arm = [&](uint16_t port, Duration delay) {
+    table.Arm(port, delay, "test.timeout", [&, port]() {
+      fired.emplace_back(port, *table.Find(port));
+    });
+  };
+  const uint16_t a = table.AllocatePort();
+  const uint16_t b = table.AllocatePort();
+  EXPECT_EQ(a, 2048);
+  EXPECT_EQ(b, 2049);
+  table.Insert(a) = 1;
+  table.Insert(b) = 2;
+  arm(a, Microseconds(10));
+  arm(b, Microseconds(10));
+  arm(b, Microseconds(30));   // Re-arm: the 10 us timer is cancelled.
+  EXPECT_EQ(table.Take(a), 1);  // Answered: its timer is cancelled.
+  loop.Run(Microseconds(20));
+  EXPECT_TRUE(fired.empty());
+
+  table.Clear();  // Crash: b's 30 us timer is cancelled with it.
+  table.Insert(b) = 3;  // The same port, reused for a new query.
+  arm(b, Microseconds(50));
+  loop.Run();
+  EXPECT_EQ(fired, (std::vector<std::pair<uint16_t, int>>{{b, 3}}));
+  EXPECT_EQ(loop.cancelled_skipped(), 3u);
+}
+
+TEST(PendingQueriesTest, PeersShareOnePortSpace) {
+  EventLoop loop;
+  PendingQueries<int> relays(loop, /*first_port=*/65534);
+  PendingQueries<char> probes(loop, /*first_port=*/65534);
+  probes.Insert(65535);
+  EXPECT_EQ(relays.AllocatePort(&probes), 65534);
+  relays.Insert(65534);
+  // 65535 is the peer's; the cursor wraps back to the first port, skipping
+  // the one this table holds.
+  EXPECT_EQ(relays.AllocatePort(&probes), 1023) << "every port is taken";
+  relays.Erase(65534);
+  EXPECT_EQ(relays.AllocatePort(&probes), 65534);
 }
 
 }  // namespace

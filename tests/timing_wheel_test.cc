@@ -1,11 +1,14 @@
-// Timing-wheel scheduler suite (ISSUE 10): FIFO stability within a tick,
-// overflow-heap promotion, cancellation, zero-delay self-reschedule, and a
-// seeded randomized differential test against a reference (when, seq) heap
-// reproducing the old priority-queue semantics event-for-event.
+// Timing-wheel scheduler suite: FIFO stability within a tick, overflow-heap
+// promotion, cancellation (same-tick, higher wheel levels, overflow, fired
+// and stale ids), zero-delay self-reschedule, and a seeded randomized
+// differential test, with cancellations, against a reference (when, seq)
+// heap reproducing the old priority-queue semantics event-for-event.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 
@@ -78,30 +81,90 @@ TEST(TimingWheel, OverflowHeapPromotion) {
 TEST(TimingWheel, CancelBeforeFireSkipsWithoutExecuting) {
   EventLoop loop;
   int fired = 0;
-  CancelToken token = loop.ScheduleCancelableAfter(
-      Microseconds(10), "tw.cancel", [&]() { ++fired; });
+  const TimerId id =
+      loop.ScheduleAfter(Microseconds(10), "tw.cancel", [&]() { ++fired; });
   loop.ScheduleAfter(Microseconds(20), "tw.after", [&]() { ++fired; });
-  EXPECT_TRUE(token.active());
-  token.Cancel();
-  EXPECT_FALSE(token.active());
+  loop.Cancel(id);
+  EXPECT_EQ(loop.pending(), 2u) << "a tombstone leaves when its time drains";
   const size_t executed = loop.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(executed, 1u) << "cancelled events must not count as executed";
   EXPECT_EQ(loop.cancelled_skipped(), 1u);
-  token.Cancel();  // Idempotent.
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.Cancel(id);  // Idempotent.
+  EXPECT_EQ(loop.cancelled_skipped(), 1u);
 }
 
-TEST(TimingWheel, PeriodicCancelStopsRearming) {
+TEST(TimingWheel, CancelFromHandlerAtSameTimestamp) {
   EventLoop loop;
-  int ticks = 0;
-  CancelToken token;
-  token = loop.SchedulePeriodic(Microseconds(10), "tw.periodic",
-                                [&]() { ++ticks; });
-  loop.ScheduleAt(Microseconds(35), "tw.stopper", [&]() { token.Cancel(); });
-  loop.Run(Seconds(1));
-  // Ticks at 10, 20, 30; the cancel at 35 stops the 40 us tick and all
-  // later ones, so the loop drains instead of running to the horizon.
-  EXPECT_EQ(ticks, 3);
+  std::vector<int> order;
+  TimerId later;
+  TimerId own;
+  own = loop.ScheduleAt(Microseconds(10), "tw.first", [&]() {
+    order.push_back(1);
+    loop.Cancel(later);  // Same tick, still pending behind us.
+    loop.Cancel(own);    // Already running: cancels nothing.
+    const TimerId child =
+        loop.ScheduleAfter(0, "tw.child", [&]() { order.push_back(9); });
+    loop.ScheduleAfter(0, "tw.sibling", [&]() { order.push_back(4); });
+    loop.Cancel(child);
+  });
+  later = loop.ScheduleAt(Microseconds(10), "tw.second",
+                          [&]() { order.push_back(2); });
+  loop.ScheduleAt(Microseconds(10), "tw.third", [&]() { order.push_back(3); });
+  const size_t executed = loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(executed, 3u);
+  EXPECT_EQ(loop.cancelled_skipped(), 2u);
+}
+
+TEST(TimingWheel, CancelInHigherLevelsAndOverflow) {
+  EventLoop loop;
+  std::vector<int> order;
+  const TimerId level1 = loop.ScheduleAt(Microseconds(5000), "tw.l1",
+                                         [&]() { order.push_back(91); });
+  const TimerId level3 =
+      loop.ScheduleAt(Seconds(30), "tw.l3", [&]() { order.push_back(93); });
+  const TimerId overflow =
+      loop.ScheduleAt(Seconds(100), "tw.far", [&]() { order.push_back(94); });
+  // Cancelled only after the cursor has cascaded it down a level.
+  TimerId cascaded;
+  cascaded = loop.ScheduleAt(Seconds(2) + Microseconds(7), "tw.l2",
+                             [&]() { order.push_back(92); });
+  loop.ScheduleAt(Seconds(2), "tw.canceller", [&]() {
+    order.push_back(2);
+    loop.Cancel(cascaded);
+  });
+  loop.ScheduleAt(Microseconds(1), "tw.near", [&]() {
+    order.push_back(1);
+    loop.Cancel(level1);
+    loop.Cancel(level3);
+    loop.Cancel(overflow);
+  });
+  loop.ScheduleAt(Seconds(150), "tw.last", [&]() { order.push_back(3); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(loop.cancelled_skipped(), 4u);
+  EXPECT_EQ(loop.now(), Seconds(150));
+}
+
+TEST(TimingWheel, FiredAndStaleIdsCancelNothing) {
+  EventLoop loop;
+  int first = 0;
+  int second = 0;
+  const TimerId fired =
+      loop.ScheduleAt(Microseconds(10), "tw.a", [&]() { ++first; });
+  loop.Run(Microseconds(20));
+  ASSERT_EQ(first, 1);
+  // The fired event's cancellation slot is recycled by the next schedule;
+  // its old id must not reach the new occupant.
+  loop.ScheduleAt(Microseconds(30), "tw.b", [&]() { ++second; });
+  loop.Cancel(fired);
+  loop.Cancel(TimerId{});
+  loop.Cancel(TimerId{12345, 999});  // Names no slot at all.
+  loop.Run();
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(loop.cancelled_skipped(), 0u);
 }
 
 TEST(TimingWheel, ZeroDelaySelfReschedule) {
@@ -123,10 +186,11 @@ TEST(TimingWheel, ZeroDelaySelfReschedule) {
 }
 
 // Reference model of the old scheduler: a binary heap ordered by (when,
-// seq) with seq assigned in schedule order. The differential test drives
-// the real loop and this model through an identical seeded workload
-// (including reschedules from inside handlers) and requires the same
-// execution sequence.
+// seq) with seq assigned in schedule order, where a cancelled event stays in
+// the heap as a tombstone and is dropped when popped. The differential test
+// drives the real loop and this model through an identical seeded workload
+// (including reschedules and cancellations from inside handlers) and
+// requires the same execution sequence and tombstone count.
 struct RefEvent {
   Time when = 0;
   uint64_t seq = 0;
@@ -137,11 +201,12 @@ struct RefEvent {
 };
 
 // Deterministic per-event workload: how many children an event spawns and
-// at which delays, derived from its id alone so the real and reference
-// runs agree without sharing state.
-std::vector<Duration> ChildDelays(uint64_t id, Rng& rng) {
+// at which delays, drawn from the shared seeded stream so the real and
+// reference runs agree without sharing state.
+std::vector<Duration> ChildDelays(Rng& rng) {
   std::vector<Duration> delays;
-  const int children = static_cast<int>(rng.NextBelow(3));  // 0..2
+  // 0..3: supercritical even with cancellations, so runs reach the cap.
+  const int children = static_cast<int>(rng.NextBelow(4));
   for (int i = 0; i < children; ++i) {
     // Mix of same-tick (0), near, frame-crossing and overflow distances.
     switch (rng.NextBelow(5)) {
@@ -152,57 +217,88 @@ std::vector<Duration> ChildDelays(uint64_t id, Rng& rng) {
       default: delays.push_back(Seconds(70 + rng.NextBelow(100))); break;
     }
   }
-  (void)id;
   return delays;
+}
+
+// Which event (by id, 1..last_id) a handler cancels, or 0 for none. Recent
+// ids are favoured so same-tick and still-pending events are hit often;
+// the rest land anywhere, including on fired, already-cancelled and
+// running events (whose cancellation must be a no-op).
+uint64_t CancelTarget(uint64_t last_id, Rng& rng) {
+  switch (rng.NextBelow(4)) {
+    case 0: return 0;
+    case 1: return last_id - rng.NextBelow(std::min<uint64_t>(last_id, 4));
+    default: return 1 + rng.NextBelow(last_id);
+  }
 }
 
 TEST(TimingWheel, SeededDifferentialAgainstReferenceHeap) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     // --- real run ---------------------------------------------------------
     std::vector<uint64_t> real_order;
+    uint64_t real_cancelled = 0;
     {
       EventLoop loop;
       Rng rng(seed);
-      uint64_t next_id = 0;
+      std::vector<TimerId> ids(1);  // ids[event id]; index 0 unused.
       std::function<void(uint64_t)> body = [&](uint64_t id) {
         real_order.push_back(id);
         if (real_order.size() >= 5000) {
           return;  // Bound the run; the reference applies the same cap.
         }
-        for (Duration d : ChildDelays(id, rng)) {
-          const uint64_t child = ++next_id;
-          loop.ScheduleAfter(d, "tw.diff", [&, child]() { body(child); });
+        for (Duration d : ChildDelays(rng)) {
+          const uint64_t child = ids.size();
+          ids.push_back(
+              loop.ScheduleAfter(d, "tw.diff", [&, child]() { body(child); }));
+        }
+        if (const uint64_t target = CancelTarget(ids.size() - 1, rng);
+            target != 0) {
+          loop.Cancel(ids[target]);
         }
       };
       for (int i = 0; i < 64; ++i) {
-        const uint64_t id = ++next_id;
-        loop.ScheduleAfter(Microseconds(i * 37 % 500), "tw.diff",
-                           [&, id]() { body(id); });
+        const uint64_t id = ids.size();
+        ids.push_back(loop.ScheduleAfter(Microseconds(i * 37 % 500), "tw.diff",
+                                         [&, id]() { body(id); }));
       }
       loop.Run();
+      real_cancelled = loop.cancelled_skipped();
     }
 
     // --- reference run ----------------------------------------------------
     std::vector<uint64_t> ref_order;
+    uint64_t ref_cancelled = 0;
     {
+      enum class State { kPending, kFired, kCancelled };
       std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>> heap;
+      std::vector<State> state(1);  // state[event id]; index 0 unused.
       Rng rng(seed);
-      uint64_t next_id = 0;
       uint64_t next_seq = 0;
       Time now = 0;
       for (int i = 0; i < 64; ++i) {
-        heap.push(RefEvent{Microseconds(i * 37 % 500), next_seq++, ++next_id});
+        heap.push(RefEvent{Microseconds(i * 37 % 500), next_seq++, state.size()});
+        state.push_back(State::kPending);
       }
       while (!heap.empty()) {
         const RefEvent event = heap.top();
         heap.pop();
+        if (state[event.id] == State::kCancelled) {
+          ++ref_cancelled;
+          continue;
+        }
+        state[event.id] = State::kFired;
         now = event.when;
         ref_order.push_back(event.id);
         if (ref_order.size() >= 5000) {
           continue;  // Keep draining, stop spawning — mirrors the real run.
         }
-        for (Duration d : ChildDelays(event.id, rng)) {
-          heap.push(RefEvent{now + d, next_seq++, ++next_id});
+        for (Duration d : ChildDelays(rng)) {
+          heap.push(RefEvent{now + d, next_seq++, state.size()});
+          state.push_back(State::kPending);
+        }
+        if (const uint64_t target = CancelTarget(state.size() - 1, rng);
+            target != 0 && state[target] == State::kPending) {
+          state[target] = State::kCancelled;
         }
       }
     }
@@ -213,6 +309,9 @@ TEST(TimingWheel, SeededDifferentialAgainstReferenceHeap) {
           << "execution order diverged at event " << i << " (seed " << seed
           << ")";
     }
+    EXPECT_EQ(real_cancelled, ref_cancelled) << "seed " << seed;
+    EXPECT_GT(ref_cancelled, 100u) << "seed " << seed
+                                   << ": the workload must exercise Cancel";
   }
 }
 

@@ -248,12 +248,13 @@ int CmdEvents(const Selected& selected) {
   }
   std::printf("queue depth high-watermark: %.0f\n",
               events->Number("queue_depth_max"));
-  std::printf("%-24s %12s %12s %14s %12s\n", "category", "count", "wall_ms",
-              "avg_lag_us", "max_lag_us");
+  std::printf("%-24s %12s %12s %12s %14s %12s\n", "category", "count",
+              "cancelled", "wall_ms", "avg_lag_us", "max_lag_us");
   for (const Value& cat : categories->AsArray()) {
     const double count = cat.Number("count");
-    std::printf("%-24s %12.0f %12.3f %14.1f %12.0f\n",
-                cat.String("category").c_str(), count, cat.Number("wall_ms"),
+    std::printf("%-24s %12.0f %12.0f %12.3f %14.1f %12.0f\n",
+                cat.String("category").c_str(), count, cat.Number("cancelled"),
+                cat.Number("wall_ms"),
                 count > 0 ? cat.Number("lag_us_sum") / count : 0.0,
                 cat.Number("lag_us_max"));
   }
@@ -306,7 +307,7 @@ void PrintUsage(std::FILE* stream) {
       "  top      ranked sites by self wall time, with coverage summary\n"
       "  tree     indented site tree rebuilt from the exact folded stacks\n"
       "  folded   'a;b;c <self_us>' lines for flamegraph tooling\n"
-      "  events   per-category event-loop stats (count, wall, lag, queue)\n"
+      "  events   per-category loop stats (count, cancelled, wall, lag, queue)\n"
       "  copies   message/buffer churn counters with derived ratios:\n"
       "           copies and encodes per network hop, buffer-pool hit\n"
       "           rate, encode-cache reuse, timing-wheel occupancy\n"
